@@ -1,8 +1,9 @@
 """Batch simulation of the truncated process via circulant embedding.
 
-One FFT of a single innovation stream yields floor(N/n) copies of the n x p
-path at once; the demo verifies pooled moments against the analytic
-autocovariances and round-trips the binary dump format.
+One shared innovation stream, convolved by d real FFTs of length N up to the
+spec's truncation, yields floor(N/n) copies of the n x p path at once; the
+demo verifies pooled moments against the analytic autocovariances (same
+truncation) and round-trips the binary dump format.
 
 Run: python demos/02_fft_simulation.py
 """

@@ -8,9 +8,9 @@ window position, and reports Kolmogorov and Wasserstein-1 distances between
 the error sample and each approximation.
 
 One horizon governs a cell.  The simulator convolves N = max(n^2, replicates*n)
-lags, so for the built-in (separable) structures the truth, the reference and
-the simulation plan all use the spec with truncation N - 1, the last lag
-drawn; custom specs keep their declared truncation.  The Gaussian references
+lags, so the truth, the reference and the simulation plan all use the spec
+with truncation N - 1, the last lag drawn, for the built-in (separable)
+structures, and capped at N - 1 for custom ones.  The Gaussian references
 are the long-run covariances (``n=None``) of that truncated process, summed
 unweighted over all its lags, not the finite-n Fejer-weighted ones.
 
@@ -138,11 +138,11 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
              ) -> tuple[list[CellResult], list[SkippedTarget]]:
     """Run one grid cell; returns per-kind results plus skipped targets.
 
-    A built-in spec's truncation is replaced by N - 1, with N the number of
-    lags simulated (see the module docstring), so the error is centred on the
-    covariance of the process actually drawn.  The Gaussian reference samples
-    come from the long-run covariance of that process, for the precision
-    targets conjugated by the true Omega.
+    A built-in spec's truncation is set to N - 1 and a custom one's capped
+    there (see the module docstring), so the error is centred on the covariance
+    of the process actually drawn.  The Gaussian reference samples come from
+    the long-run covariance of that process, for the precision targets
+    conjugated by the true Omega.
     """
     targets = tuple(targets)
     for kind in targets:
@@ -158,8 +158,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
 
     l = resolve_block_length(block_rule, n, p, beta)
     N = max(n * n, replicates * n)
-    if spec.separable:
-        spec = replace(spec, truncation=N - 1)
+    spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
     plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
                           copies_requested=replicates)
     batch = simulate_multidimensional(plan)

@@ -138,7 +138,10 @@ def _lag_sums(spec: CoefficientSpec, max_lag: int) -> np.ndarray:
 
 
 def _custom_coeff_stack(spec: CoefficientSpec, count: int) -> np.ndarray:
-    return np.stack([coefficient(spec, t) for t in range(count)])
+    stack = np.empty((count, spec.p, spec.d))  # no list of count arrays held
+    for t in range(count):
+        stack[t] = coefficient(spec, t)
+    return stack
 
 
 def autocovariance(spec: CoefficientSpec, k: int) -> np.ndarray:

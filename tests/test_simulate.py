@@ -1,15 +1,113 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lrdcov import (InvalidPlanError, MemoryBudgetError, SimulationPlan,
-                    autocovariance, custom_spec, load_batch, save_batch,
-                    simulate_multidimensional, simulate_unidimensional,
-                    toeplitz_spec)
+                    autocovariance, banded_spec, coefficient, custom_spec,
+                    load_batch, save_batch, simulate_multidimensional,
+                    simulate_unidimensional, toeplitz_spec)
 
 ZETA4 = math.pi ** 4 / 90.0
 GAMMA1 = math.pi ** 2 / 3 - 3
+
+
+def _circulant_oracle(plan):
+    """Reference draw: for each feature j, the coefficients [A_1 .. A_{N-1}, A_0]
+    flattened row j by row j form a circulant over the length-N*d innovation
+    stream; X[i, j] is entry i*d of that circular convolution (p complex FFTs
+    of length N*d).  Draws all N lags, so it matches at truncation >= N - 1."""
+    spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    fft_innov = np.fft.fft(rng.standard_normal(N * d).astype(np.complex128))
+    stack = np.stack([coefficient(spec, t) for t in range(N)])
+    stack = np.concatenate([stack[1:], stack[:1]])
+    needed = plan.copies_requested * n
+    out = np.empty((needed, spec.p))
+    for j in range(spec.p):
+        series = np.fft.ifft(np.fft.fft(stack[:, j, :].ravel().astype(np.complex128))
+                             * fft_innov)
+        out[:, j] = series[:needed * d:d].real
+    return out.reshape(plan.copies_requested, n, spec.p)
+
+
+def _mixing_spec(p, d, truncation, beta=0.8):
+    B = np.random.default_rng(3).standard_normal((p, d))
+    return custom_spec(lambda t: B * np.cos(t) * (t + 1.0) ** -beta,
+                       beta=beta, p=p, d=d, truncation=truncation)
+
+
+@pytest.mark.parametrize("spec", [
+    toeplitz_spec(2.0, 3, truncation=10**6),
+    banded_spec(0.9, 4, bandwidth=1, truncation=514),
+    _mixing_spec(3, 4, truncation=600),
+    _mixing_spec(4, 2, truncation=514),
+    toeplitz_spec(0.6, 1, truncation=514),
+], ids=["toeplitz", "banded", "custom_p3_d4", "custom_p4_d2", "scalar"])
+def test_matches_circulant_oracle(spec):
+    plan = SimulationPlan(spec, n=16, seed=41, N=515, copies_requested=20)
+    got = simulate_multidimensional(plan).data
+    want = _circulant_oracle(plan)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", [banded_spec(1.2, 3, bandwidth=1, truncation=4),
+                                  _mixing_spec(3, 2, truncation=4)],
+                         ids=["banded", "custom"])
+def test_time_domain_convolution_up_to_horizon(spec):
+    n, N, H, d = 3, 12, 4, spec.d
+    plan = SimulationPlan(spec, n=n, seed=8, N=N)
+    got = simulate_multidimensional(plan).data.reshape(-1, spec.p)
+    stream = np.random.default_rng(np.random.SeedSequence(8)).standard_normal(N * d)
+    E = np.array([[stream[((s + 1) * d - k) % (N * d)] for k in range(d)]
+                  for s in range(N)])
+    want = np.zeros_like(got)
+    for i in range(want.shape[0]):
+        for j in range(spec.p):
+            want[i, j] = sum(coefficient(spec, t)[j, k] * E[(i - t) % N, k]
+                             for t in range(H + 1) for k in range(d))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+def test_custom_callback_runs_only_up_to_truncation():
+    calls = []
+
+    def fn(t):
+        if t > 6:
+            raise AssertionError(f"lag {t} beyond the truncation")
+        calls.append(t)
+        return np.full((2, 3), (t + 1.0) ** -1.5)
+
+    spec = custom_spec(fn, beta=1.5, p=2, d=3, truncation=6)
+    batch = simulate_multidimensional(SimulationPlan(spec, n=8, seed=2, N=64))
+    assert batch.data.shape == (8, 8, 2)
+    assert sorted(calls) == list(range(7))
+
+
+@pytest.mark.parametrize("spec", [toeplitz_spec(2.0, 4, truncation=10**6),
+                                  _mixing_spec(3, 4, truncation=10**6)],
+                         ids=["toeplitz", "custom"])
+def test_tracemalloc_peak_within_estimate(spec):
+    plan = SimulationPlan(spec, n=100, seed=1, N=20_000)
+    tracemalloc.start()
+    try:
+        simulate_multidimensional(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan.peak_bytes
+
+
+def test_budget_default_and_byte_boundary():
+    plan = SimulationPlan(toeplitz_spec(2.0, 4), n=10, seed=0, N=2**50)
+    with pytest.raises(MemoryBudgetError, match=str(plan.peak_bytes)):
+        simulate_multidimensional(plan)
+    small = SimulationPlan(toeplitz_spec(2.0, 2), n=8, seed=0, N=64)
+    simulate_multidimensional(small, element_cap=128)
+    with pytest.raises(MemoryBudgetError):
+        simulate_multidimensional(small, element_cap=127)
 
 
 def pooled_moment(batch, lag):
