@@ -3,8 +3,12 @@
 Sliding length-l windows of the centered Gram sequence X_j X_j^T - Sigma_hat
 produce one max-deviation statistic per window; their empirical distribution
 approximates the law of the scaled estimation error.  Windows are maintained
-incrementally (add one outer product, drop one) with a full recomputation
-every `REFRESH_INTERVAL` windows so floating-point drift stays bounded.
+incrementally (add one outer product, drop one) in chunks of at most
+`REFRESH_INTERVAL` windows and `_CHUNK_BYTES` bytes; each chunk starts from a
+full recomputation, so floating-point drift and memory stay bounded in n.
+Precision windows are the covariance windows of Y = X Omega_hat: for
+symmetric Omega_hat, Omega_hat (sum_window X_j X_j^T - l Sigma_hat) Omega_hat
+= sum_window Y_j Y_j^T - l Y^T Y / n.
 """
 
 from __future__ import annotations
@@ -15,15 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MemoryBudgetError, OutOfRegimeError
+from .errors import OutOfRegimeError
 from .estimate import sample_covariance, sample_precision
+from .metrics import _quantile_exact
 from .model import theoretical_rates
 
 KIND_COVARIANCE = "covariance"
 KIND_PRECISION = "precision"
 
 REFRESH_INTERVAL = 1024
-_OUTER_ELEMENT_CAP = 2**31
+_CHUNK_BYTES = 2**26  # two chunk-sized buffers of p x p doubles
 
 
 @dataclass(frozen=True)
@@ -119,31 +124,32 @@ def resolve_block_length(rule, n: int, p: int = 1,
 
 # Window statistics -----------------------------------------------------------
 
-def _window_maxima(X: np.ndarray, l: int,
-                   transform: Optional[np.ndarray] = None) -> np.ndarray:
-    """l^{-1/2} |T (M_i - l Sigma_hat) T|_inf over all windows, in window order."""
+def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
+    """l^{-1/2} |M_i - l Sigma_hat|_inf over all windows, in window order."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError("X must be an n x p matrix with p >= 1")
     n, p = X.shape
     if not 1 <= l <= n:
         raise ValueError(f"block length {l} outside [1, {n}]")
-    if n * p * p > _OUTER_ELEMENT_CAP:
-        raise MemoryBudgetError("per-row outer products exceed the element cap")
-    sigma_hat = X.T @ X / n
-    target = l * sigma_hat
-    outers = X[:, :, None] * X[:, None, :]
+    target = l * (X.T @ X / n)
     count = n - l + 1
     vals = np.empty(count)
-    for start in range(0, count, REFRESH_INTERVAL):
-        stop = min(start + REFRESH_INTERVAL, count)
-        windows = np.empty((stop - start, p, p))
-        windows[0] = outers[start:start + l].sum(axis=0)
-        if stop - start > 1:
-            increments = outers[start + l:stop + l - 1] - outers[start:stop - 1]
-            windows[1:] = windows[0] + np.cumsum(increments, axis=0)
-        deviations = windows - target
-        if transform is not None:
-            deviations = np.einsum("ij,bjk,kl->bil", transform, deviations, transform)
-        vals[start:stop] = np.abs(deviations).max(axis=(1, 2))
+    chunk = min(REFRESH_INTERVAL, count, max(1, _CHUNK_BYTES // (16 * p * p)))
+    windows, leaving = np.empty((chunk, p, p)), np.empty((chunk - 1, p, p))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        block, steps = windows[:stop - start], windows[1:stop - start]
+        first = X[start:start + l]
+        block[0] = first.T @ first
+        # window i + 1 = window i + entering outer product - leaving one
+        enter, leave = X[start + l:stop + l - 1], X[start:stop - 1]
+        np.multiply(enter[:, :, None], enter[:, None, :], out=steps)
+        steps -= np.multiply(leave[:, :, None], leave[:, None, :], out=leaving[:len(leave)])
+        np.cumsum(steps, axis=0, out=steps)
+        steps += block[0]
+        block -= target
+        vals[start:stop] = np.abs(block, out=block).max(axis=(1, 2))
     return vals / math.sqrt(l)
 
 
@@ -156,27 +162,26 @@ def precision_blocks(X: np.ndarray, l: int,
                      omega: Optional[np.ndarray] = None) -> BootstrapDistribution:
     """Covariance windows conjugated by Omega_hat on both sides.
 
-    `omega` short-circuits the internal precision estimate when the caller
-    already holds it.
+    Computed as the covariance windows of X @ omega, so `omega` (by default
+    the sample precision) must be symmetric to a relative 1e-8.
     """
+    X = np.asarray(X, dtype=float)
     if omega is None:
         omega = sample_precision(sample_covariance(X))
-    return BootstrapDistribution(_window_maxima(X, l, transform=omega),
-                                 l, KIND_PRECISION)
+    omega = np.asarray(omega, dtype=float)
+    if (omega.shape != (X.shape[1],) * 2
+            or np.abs(omega - omega.T).max() > 1e-8 * np.abs(omega).max()):
+        raise ValueError("omega must be a symmetric p x p matrix")
+    return BootstrapDistribution(_window_maxima(X @ omega, l), l, KIND_PRECISION)
 
 
 def quantile(dist: BootstrapDistribution, level: float) -> float:
     """inf{u : F_hat(u) >= level}: the ceil(level * N)-th order statistic."""
     if not 0.0 < level < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    count = len(dist)
-    if count == 0:
+    if len(dist) == 0:
         raise ValueError("empty bootstrap distribution")
-    rank = math.ceil(level * count)
-    # Float fuzz: keep the smallest rank whose ECDF already reaches the level.
-    if rank > 1 and (rank - 1) / count >= level:
-        rank -= 1
-    return float(dist.values[min(rank, count) - 1])
+    return float(_quantile_exact(dist.values, np.array([level]))[0])
 
 
 def confidence_region(center: np.ndarray, dist: BootstrapDistribution, n: int,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -289,26 +290,16 @@ def run_grid(config: ExperimentConfig, workers: int = 1,
 
     all_results: list[CellResult] = []
     all_skipped: list[SkippedTarget] = []
-    with open(outdir / "results.csv", "w", newline="\n") as fh:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext(), open(outdir / "results.csv", "w", newline="\n") as fh:
         fh.write(RESULTS_HEADER)
         fh.flush()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                produced = pool.map(work, enumerate(cells))
-                for results, skipped in produced:
-                    for r in results:
-                        fh.write(_format_result(r, record_runtime))
-                    fh.flush()
-                    all_results.extend(results)
-                    all_skipped.extend(skipped)
-        else:
-            for item in enumerate(cells):
-                results, skipped = work(item)
-                for r in results:
-                    fh.write(_format_result(r, record_runtime))
-                fh.flush()
-                all_results.extend(results)
-                all_skipped.extend(skipped)
+        for results, skipped in (pool.map if pool else map)(work, enumerate(cells)):
+            for r in results:
+                fh.write(_format_result(r, record_runtime))
+            fh.flush()
+            all_results.extend(results)
+            all_skipped.extend(skipped)
     if all_skipped:
         with open(outdir / "skipped.csv", "w", newline="\n") as fh:
             fh.write(SKIPPED_HEADER)

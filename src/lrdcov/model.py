@@ -298,7 +298,7 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
     else:
         gammas = _ensure_gammas(truth, max_lag)
     if transform is not None:
-        gammas = np.einsum("ij,kjl,lm->kim", transform, gammas, transform)
+        gammas = transform @ gammas @ transform
     total = weights[0] * _pair_product(gammas[0])
     for k in range(1, max_lag + 1):
         total += weights[k] * (_pair_product(gammas[k]) + _pair_product(gammas[k].T))

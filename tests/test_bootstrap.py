@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lrdcov import (BootstrapDistribution, DefaultBlocks, FixedBlocks,
                     default_block_length, precision_blocks, quantile,
                     resolve_block_length, theoretical_block_length,
                     theoretical_rates)
+from lrdcov.bootstrap import REFRESH_INTERVAL
 from lrdcov.errors import OutOfRegimeError
 
 
@@ -49,6 +51,13 @@ def test_block_length_out_of_range():
         covariance_blocks(X, 21)
 
 
+def test_rejects_input_without_columns():
+    with pytest.raises(ValueError):
+        covariance_blocks(np.empty((20, 0)), 5)
+    with pytest.raises(ValueError):
+        covariance_blocks(np.ones(20), 5)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sliding_window_matches_naive(seed):
     rng = np.random.default_rng(seed)
@@ -88,6 +97,65 @@ def test_precision_full_window_zero():
     dist = precision_blocks(X, 40)
     assert len(dist) == 1
     assert dist.values[0] <= 1e-10
+
+
+def test_windows_match_naive_across_refresh_boundary():
+    rng = np.random.default_rng(21)
+    n, p, l = 1100, 20, 60
+    assert n - l + 1 > REFRESH_INTERVAL
+    X = rng.standard_normal((n, p)) @ (np.eye(p) + 0.4 * np.eye(p, k=1))
+    from lrdcov import sample_covariance, sample_precision
+    omega = sample_precision(sample_covariance(X))
+    assert np.allclose(covariance_blocks(X, l).values, naive_blocks(X, l), rtol=1e-9)
+    assert np.allclose(precision_blocks(X, l).values,
+                       naive_blocks(X, l, omega=omega), rtol=1e-9)
+
+
+def test_precision_with_supplied_omega_matches_naive():
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((180, 6))
+    root = rng.standard_normal((6, 6))
+    omega = root @ root.T + 6.0 * np.eye(6)  # SPD, unrelated to Sigma_hat
+    dist = precision_blocks(X, 25, omega=omega)
+    assert np.allclose(dist.values, naive_blocks(X, 25, omega=omega), rtol=1e-9)
+
+
+def test_precision_rejects_nonsymmetric_omega():
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((60, 3))
+    omega = np.eye(3)
+    omega[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        precision_blocks(X, 10, omega=omega)
+    with pytest.raises(ValueError):
+        precision_blocks(X, 10, omega=np.eye(4))
+
+
+def test_window_memory_bounded_by_chunk():
+    # Buffers hold one chunk of p x p windows; only the per-window outputs
+    # (a few doubles each) may grow with n.
+    rng = np.random.default_rng(24)
+    peaks = {}
+    for n in (2048, 8192):
+        X = rng.standard_normal((n, 8))
+        tracemalloc.start()
+        covariance_blocks(X, 64)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[8192] - peaks[2048] <= 24 * (8192 - 2048)
+
+
+def test_chunk_byte_budget(monkeypatch):
+    from lrdcov import bootstrap
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2**18)
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((400, 20))  # 6400 B per window: 40-window chunks
+    tracemalloc.start()
+    dist = covariance_blocks(X, 30)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2**19  # the budget plus numpy's fixed ufunc buffers; 2.4 MB unchunked
+    assert np.allclose(dist.values, naive_blocks(X, 30), rtol=1e-9)
 
 
 def test_quantile_examples():
