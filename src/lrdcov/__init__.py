@@ -32,6 +32,6 @@ from .pipeline import (AcfSignificance, EdgeSet, EdgeStat, SubjectSeries,
                        subject_diagnostics, subject_graph, write_diagnostics_csv,
                        write_edges_csv)
 from .simulate import (SampleBatch, SimulationPlan, load_batch, save_batch,
-                       simulate_multidimensional, simulate_unidimensional)
+                       simulate_multidimensional)
 
 __version__ = "0.1.0"

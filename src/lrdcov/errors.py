@@ -17,11 +17,11 @@ class NotInvertibleError(LrdcovError):
         self.smallest_eigenvalue = smallest_eigenvalue
 
 
-class NearSingularError(LrdcovError):
-    """A sample covariance is too ill-conditioned to invert reliably."""
+class NearSingularError(NotInvertibleError):
+    """A covariance is too ill-conditioned to invert reliably."""
 
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
+    def __init__(self, message, condition_estimate=None, smallest_eigenvalue=None):
+        super().__init__(message, smallest_eigenvalue)
         self.condition_estimate = condition_estimate
 
 

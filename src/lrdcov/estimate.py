@@ -1,70 +1,95 @@
-"""Sample covariance/precision estimators and max-deviation statistics."""
+"""Sample covariance/precision estimators and max-deviation statistics, each
+applied per copy over the leading axes of a stack (..., n, p) or (..., p, p)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import HighDimensionError, NearSingularError
 
+_REL_EIG_FLOOR = 1e-12  # smallest eigenvalue allowed, relative to the largest diagonal
+_RESIDUAL_TOL = 1e-8    # largest |Omega_hat Sigma_hat - I|_inf accepted
+
 
 @dataclass
 class EstimateResult:
-    sigma_hat: np.ndarray
+    sigma_hat: np.ndarray  # (..., p, p)
     n: int
-    omega_hat: Optional[np.ndarray] = None
 
 
 def sample_covariance(X: np.ndarray, center: bool = False) -> EstimateResult:
-    """Sigma_hat = n^-1 sum_i X_i X_i^T.
+    """Sigma_hat = n^-1 sum_i X_i X_i^T for each (n, p) matrix in X (..., n, p).
 
     The process model has mean zero, so no centering is applied unless
     `center=True` (real data should be demeaned upstream or here).
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("X must be a nonempty n x p matrix")
+    if X.ndim < 2 or X.shape[-2] < 1:
+        raise ValueError("X must be a nonempty n x p matrix or a stack of them")
     if center:
-        X = X - X.mean(axis=0, keepdims=True)
-    n = X.shape[0]
-    return EstimateResult(X.T @ X / n, n)
+        X = X - X.mean(axis=-2, keepdims=True)
+    n = X.shape[-2]
+    return EstimateResult(np.swapaxes(X, -1, -2) @ X / n, n)
 
 
-def sample_precision(result: EstimateResult, rel_eig_floor: float = 1e-12,
-                     residual_tol: float = 1e-8) -> np.ndarray:
-    """Omega_hat = Sigma_hat^{-1} via symmetric eigendecomposition.
+def _singular(message: str, eigvals: np.ndarray) -> NearSingularError:
+    cond = float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else np.inf
+    return NearSingularError(message, cond, float(eigvals[0]))
 
-    Requires p < n and a minimum eigenvalue above `rel_eig_floor` times the
-    largest diagonal entry; the residual |Omega_hat Sigma_hat - I|_inf must
-    come out below `residual_tol`.
+
+def _spd_inverse(sigma: np.ndarray, rel_eig_floor: float,
+                 residual_tol: float) -> np.ndarray:
+    """Inverse of each symmetric matrix in `sigma` (..., p, p) via eigendecomposition.
+
+    Raises NearSingularError for the first matrix whose smallest eigenvalue is
+    at or below `rel_eig_floor` times its largest diagonal entry, or whose
+    residual |Omega Sigma - I|_inf exceeds `residual_tol`.
     """
-    sigma = result.sigma_hat
-    p = sigma.shape[0]
-    if p >= result.n:
-        raise HighDimensionError(
-            f"p = {p} >= n = {result.n}; sample covariance is singular")
+    p = sigma.shape[-1]
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    floor = rel_eig_floor * sigma.diagonal().max()
-    if eigvals[0] <= floor:
-        cond = float(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else np.inf
-        raise NearSingularError(
-            f"smallest eigenvalue {eigvals[0]:.3e} at or below floor {floor:.3e}",
-            condition_estimate=cond)
-    omega = (eigvecs / eigvals) @ eigvecs.T
-    resid = np.abs(omega @ sigma - np.eye(p)).max()
-    if resid > residual_tol:
-        raise NearSingularError(
-            f"inversion residual {resid:.3e} exceeds {residual_tol:.1e}",
-            condition_estimate=float(eigvals[-1] / eigvals[0]))
+    spectra = eigvals.reshape(-1, p)
+    floor = np.ravel(rel_eig_floor * sigma.diagonal(axis1=-2, axis2=-1).max(axis=-1))
+    low = spectra[:, 0] <= floor
+    if low.any():
+        k = low.argmax()
+        raise _singular(f"smallest eigenvalue {spectra[k, 0]:.3e} at or below floor "
+                        f"{floor[k]:.3e}", spectra[k])
+    omega = (eigvecs / eigvals[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+    resid = np.ravel(np.abs(omega @ sigma - np.eye(p)).max(axis=(-2, -1)))
+    high = resid > residual_tol
+    if high.any():
+        k = high.argmax()
+        raise _singular(f"inversion residual {resid[k]:.3e} exceeds {residual_tol:.1e}",
+                        spectra[k])
     return omega
 
 
-def max_deviation(estimate: np.ndarray, truth: np.ndarray, n: int) -> float:
-    """sqrt(n) * max_{jk} |estimate_{jk} - truth_{jk}|."""
+def sample_precision(result: EstimateResult) -> np.ndarray:
+    """Omega_hat = Sigma_hat^{-1} per matrix via symmetric eigendecomposition.
+
+    Requires p < n, a minimum eigenvalue above _REL_EIG_FLOOR times the largest
+    diagonal entry and a residual |Omega_hat Sigma_hat - I|_inf of at most
+    _RESIDUAL_TOL; otherwise raises NearSingularError.
+    """
+    sigma = result.sigma_hat
+    p = sigma.shape[-1]
+    if p >= result.n:
+        raise HighDimensionError(
+            f"p = {p} >= n = {result.n}; sample covariance is singular")
+    return _spd_inverse(sigma, _REL_EIG_FLOOR, _RESIDUAL_TOL)
+
+
+def max_deviation(estimate: np.ndarray, truth: np.ndarray, n: int) -> float | np.ndarray:
+    """sqrt(n) * max_{jk} |estimate_{jk} - truth_{jk}| over the last two axes.
+
+    A single matrix gives a float; a stack (..., p, p) gives one value per
+    matrix, with `truth` broadcast against it.
+    """
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    if estimate.shape != truth.shape:
+    if estimate.shape[-2:] != truth.shape[-2:]:
         raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    return float(np.sqrt(n) * np.abs(estimate - truth).max())
+    dev = np.sqrt(n) * np.abs(estimate - truth).max(axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHUNK_ELEMENTS = 2**24
+_SYM_TOL = 1e-8  # asymmetry allowed, relative to max(1, |cov|_inf)
+_EIG_TOL = 1e-8  # negative eigenvalues clipped to zero, relative to lambda_max
 
 
 @dataclass(frozen=True)
@@ -17,11 +19,10 @@ class GaussianReference:
     factor: np.ndarray
 
 
-def build_reference(cov: np.ndarray, sym_tol: float = 1e-8,
-                    eig_tol: float = 1e-8) -> GaussianReference:
+def build_reference(cov: np.ndarray) -> GaussianReference:
     """Factor a PSD covariance through its symmetric eigendecomposition.
 
-    Eigenvalues in [-eig_tol * lambda_max, 0) are clipped to zero (duplicated
+    Eigenvalues in [-_EIG_TOL * lambda_max, 0) are clipped to zero (duplicated
     symmetric coordinates make exact rank deficiency routine); anything more
     negative means the input is genuinely indefinite.  Cholesky is avoided on
     purpose since it fails on semidefinite input.
@@ -30,11 +31,11 @@ def build_reference(cov: np.ndarray, sym_tol: float = 1e-8,
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be a square matrix")
     scale = max(1.0, np.abs(cov).max())
-    if np.abs(cov - cov.T).max() > sym_tol * scale:
+    if np.abs(cov - cov.T).max() > _SYM_TOL * scale:
         raise ValueError("covariance is not symmetric")
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
     lam_max = max(float(eigvals[-1]), 0.0)
-    if eigvals[0] < -eig_tol * lam_max:
+    if eigvals[0] < -_EIG_TOL * lam_max:
         raise ValueError(
             f"covariance is indefinite (eigenvalue {eigvals[0]:.3e} "
             f"vs maximum {lam_max:.3e})")

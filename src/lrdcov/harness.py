@@ -34,7 +34,7 @@ import numpy as np
 
 from .bootstrap import DefaultBlocks, FixedBlocks, TheoreticalBlocks, resolve_block_length
 from .errors import LrdcovError
-from .estimate import sample_precision, EstimateResult
+from .estimate import max_deviation, sample_covariance, sample_precision
 from .gaussref import build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
 from .model import (CoefficientSpec, banded_spec, gaussian_long_run_covariance,
@@ -162,17 +162,13 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
     plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
                           copies_requested=replicates)
-    batch = simulate_multidimensional(plan)
-    X = batch.data
-    sigma_hats = np.einsum("knp,knq->kpq", X, X) / n
-
+    X = simulate_multidimensional(plan).data
+    est = sample_covariance(X)
     truth = process_truth(spec, lags=min(2, spec.truncation))
-    sqrt_n = math.sqrt(n)
-    cov_stats = sqrt_n * np.abs(sigma_hats - truth.sigma).max(axis=(1, 2))
+    cov_stats = max_deviation(est.sigma_hat, truth.sigma, n)
 
     want_prec = [k for k in (PREC_GA, PREC_BOOT) if k in targets]
-    omega_hats = None
-    prec_stats = None
+    omega_hats = prec_stats = None
     if want_prec:
         reason = None
         if p >= n:
@@ -181,32 +177,26 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
             reason = "true covariance is not invertible"
         else:
             try:
-                omega_hats = np.stack([
-                    sample_precision(EstimateResult(sigma_hats[k], n))
-                    for k in range(replicates)])
+                omega_hats = sample_precision(est)
             except LrdcovError as exc:
                 reason = f"sample precision failed: {exc}"
         if reason is not None:
             skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in want_prec)
             want_prec = []
         else:
-            prec_stats = sqrt_n * np.abs(omega_hats - truth.omega).max(axis=(1, 2))
+            prec_stats = max_deviation(omega_hats, truth.omega, n)
 
-    # One bootstrap value per copy at a uniformly random window end i in [l, n];
-    # the same window serves both the covariance and the precision statistic.
+    # One bootstrap value per copy at a uniformly random window end i in [l, n]:
+    # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the same
+    # for its Omega_hat conjugate; one window serves both statistics.
     boot_cov = boot_prec = None
     if COV_BOOT in targets or PREC_BOOT in want_prec:
-        rng_w = np.random.default_rng(window_ss)
-        ends = rng_w.integers(l, n + 1, size=replicates)
-        boot_cov = np.empty(replicates)
-        boot_prec = np.empty(replicates) if PREC_BOOT in want_prec else None
-        for k in range(replicates):
-            rows = X[k, ends[k] - l:ends[k], :]
-            dev = rows.T @ rows - l * sigma_hats[k]
-            boot_cov[k] = np.abs(dev).max() / math.sqrt(l)
-            if boot_prec is not None:
-                conj = omega_hats[k] @ dev @ omega_hats[k]
-                boot_prec[k] = np.abs(conj).max() / math.sqrt(l)
+        ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
+        rows = X[np.arange(replicates)[:, None], ends[:, None] - l + np.arange(l)]
+        dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
+        boot_cov = np.abs(dev).max(axis=(1, 2)) / math.sqrt(l)
+        if PREC_BOOT in want_prec:
+            boot_prec = np.abs(omega_hats @ dev @ omega_hats).max(axis=(1, 2)) / math.sqrt(l)
 
     samples: dict[str, np.ndarray] = {"cov_error": cov_stats}
     if prec_stats is not None:

@@ -27,6 +27,7 @@ from .errors import (
     OutOfRegimeError,
     TruncationExceededError,
 )
+from .estimate import _spd_inverse
 
 TOEPLITZ = "toeplitz"
 BANDED = "banded"
@@ -37,6 +38,8 @@ _DEFAULT_TRUNCATION_MATRIX = 10**4
 
 # Above this many multiply-adds the scalar lag sums switch to FFT correlation.
 _FFT_WORK_THRESHOLD = 2 * 10**8
+# Largest |Omega Sigma - I|_inf accepted from the analytic inverse (eigenvalue floor 0).
+_TRUTH_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -203,31 +206,15 @@ def process_truth(spec: CoefficientSpec, lags: Optional[int] = None) -> ProcessT
     gamma = autocovariance_sequence(spec, lags)
     sigma = gamma[0]
     try:
-        omega = _spd_inverse(sigma)
+        omega = _spd_inverse(sigma, 0.0, _TRUTH_RESIDUAL_TOL)
     except NotInvertibleError:
         omega = None
     return ProcessTruth(spec, gamma, sigma, omega, beta_tilde(spec.beta))
 
 
-def _spd_inverse(sigma: np.ndarray, residual_tol: float = 1e-10) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    if eigvals[0] <= 0.0:
-        raise NotInvertibleError(
-            f"covariance not positive definite (smallest eigenvalue {eigvals[0]:.3e})",
-            smallest_eigenvalue=float(eigvals[0]))
-    omega = (eigvecs / eigvals) @ eigvecs.T
-    resid = np.abs(omega @ sigma - np.eye(sigma.shape[0])).max()
-    if resid > residual_tol:
-        raise NotInvertibleError(
-            f"inverse residual {resid:.3e} exceeds {residual_tol:.1e}",
-            smallest_eigenvalue=float(eigvals[0]))
-    return omega
-
-
 def true_precision(truth: ProcessTruth) -> np.ndarray:
     """Omega = Sigma^{-1} with max-abs residual at most 1e-10."""
-    return _spd_inverse(truth.sigma)
+    return _spd_inverse(truth.sigma, 0.0, _TRUTH_RESIDUAL_TOL)
 
 
 def _pair_product(gam: np.ndarray) -> np.ndarray:

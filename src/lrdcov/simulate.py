@@ -84,13 +84,6 @@ class SampleBatch:
         return self.data.shape[0]
 
 
-def simulate_unidimensional(plan: SimulationPlan) -> SampleBatch:
-    """Scalar-process batch (p = d = 1): one real FFT of the innovation stream."""
-    if plan.spec.p != 1 or plan.spec.d != 1:
-        raise InvalidPlanError("unidimensional simulation requires p = d = 1")
-    return simulate_multidimensional(plan)
-
-
 def simulate_multidimensional(plan: SimulationPlan,
                               element_cap: int = ELEMENT_CAP) -> SampleBatch:
     """Batch of (copies, n, p) paths drawn from one innovation stream.
@@ -99,7 +92,7 @@ def simulate_multidimensional(plan: SimulationPlan,
     module docstring); custom specs are contracted with their transformed
     coefficient stack per frequency.  Raises MemoryBudgetError when the
     estimated peak exceeds `element_cap` elements of 24 bytes (default:
-    physical memory).  Reduces bitwise to the scalar routine when p = d = 1.
+    physical memory).
     """
     spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
     if plan.peak_bytes > element_cap * _BYTES_PER_ELEMENT:

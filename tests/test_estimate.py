@@ -6,6 +6,7 @@ import pytest
 from lrdcov import (HighDimensionError, NearSingularError, SimulationPlan,
                     max_deviation, process_truth, sample_covariance,
                     sample_precision, simulate_multidimensional, toeplitz_spec)
+from lrdcov import EstimateResult, NotInvertibleError
 
 
 def test_single_row_outer_product():
@@ -118,3 +119,45 @@ def test_mc_sanity_against_truth():
     est = sample_covariance(batch.data[0])
     bound = 5.0 * math.sqrt(math.log(2) / 4000)
     assert np.abs(est.sigma_hat - truth.sigma).max() < bound
+
+
+def random_spd_stack(rng, shape, p):
+    A = rng.standard_normal((*shape, p, p))
+    return A @ np.swapaxes(A, -1, -2) + p * np.eye(p)
+
+
+def test_stacked_estimators_match_per_copy_calls():
+    rng = np.random.default_rng(10)
+    n, p = 40, 5
+    X = rng.standard_normal((2, 4, n, p))
+    est = sample_covariance(X)
+    assert est.n == n and est.sigma_hat.shape == (2, 4, p, p)
+    for idx in np.ndindex(2, 4):
+        assert np.array_equal(est.sigma_hat[idx], sample_covariance(X[idx]).sigma_hat)
+
+    for sigma in (est.sigma_hat, random_spd_stack(rng, (2, 4), p)):
+        omegas = sample_precision(EstimateResult(sigma, n))
+        assert omegas.shape == (2, 4, p, p)
+        for idx in np.ndindex(2, 4):
+            assert np.array_equal(omegas[idx],
+                                  sample_precision(EstimateResult(sigma[idx], n)))
+
+    truth = rng.standard_normal((p, p))
+    devs = max_deviation(omegas, truth, n)
+    assert devs.shape == (2, 4)
+    for idx in np.ndindex(2, 4):
+        assert devs[idx] == max_deviation(omegas[idx], truth, n)
+
+
+def test_stack_with_one_singular_member_raises():
+    rng = np.random.default_rng(11)
+    p = 4
+    stack = random_spd_stack(rng, (6,), p)
+    v = rng.standard_normal(p)
+    stack[3] = np.outer(v, v)  # rank one
+    with pytest.raises(NearSingularError) as err:
+        sample_precision(EstimateResult(stack, n=50))
+    assert isinstance(err.value, NotInvertibleError)
+    assert err.value.smallest_eigenvalue < 1e-12 * np.abs(v).max() ** 2
+    # the members before and after the singular one invert on their own
+    sample_precision(EstimateResult(np.delete(stack, 3, axis=0), n=50))

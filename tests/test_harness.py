@@ -1,10 +1,15 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lrdcov.harness as harness
 from lrdcov import (ExperimentConfig, FixedBlocks, custom_spec, run_cell, run_grid,
                     toeplitz_spec)
+from lrdcov import (EstimateResult, NearSingularError, SimulationPlan, process_truth,
+                    sample_precision, simulate_multidimensional)
 from lrdcov.harness import ALL_TARGETS, parse_block_rule, parse_structure
 
 
@@ -201,3 +206,56 @@ def test_failed_reference_marks_skip(tmp_path):
     assert [r.kind for r in results] == ["cov_boot"]
     assert [s.kind for s in skipped] == ["cov_ga"]
     assert "forced failure" in skipped[0].reason
+
+
+def read_ecdf(path):
+    values = {}
+    for line in path.read_text().splitlines()[1:]:
+        value, label, _ = line.split(",")
+        values.setdefault(label, []).append(float(value))
+    return values
+
+
+def test_cell_statistics_match_per_copy_loop(tmp_path):
+    spec = toeplitz_spec(2.0, 3)
+    n, replicates, seed, l = 80, 15, 21, 10
+    run_cell(spec, n=n, replicates=replicates, seed=seed, block_rule=FixedBlocks(l),
+             output_dir=str(tmp_path))
+
+    # Rebuild the copies and window ends as run_cell draws them, then score each
+    # copy on its own: Sigma_hat, Omega_hat, both errors and one window.
+    sim_ss, window_ss, _, _ = np.random.SeedSequence(seed).spawn(4)
+    N = max(n * n, replicates * n)
+    plan = SimulationPlan(replace(spec, truncation=N - 1), n,
+                          seed=int(sim_ss.generate_state(1, np.uint64)[0]), N=N,
+                          copies_requested=replicates)
+    X = simulate_multidimensional(plan).data
+    ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
+    truth = process_truth(plan.spec, lags=2)
+    reference = {"cov_error": [], "prec_error": [], "cov_boot": [], "prec_boot": []}
+    for k in range(replicates):
+        sigma_hat = np.einsum("np,nq->pq", X[k], X[k]) / n
+        omega_hat = sample_precision(EstimateResult(sigma_hat, n))
+        reference["cov_error"].append(math.sqrt(n) * np.abs(sigma_hat - truth.sigma).max())
+        reference["prec_error"].append(math.sqrt(n) * np.abs(omega_hat - truth.omega).max())
+        rows = X[k, ends[k] - l:ends[k], :]
+        dev = rows.T @ rows - l * sigma_hat
+        reference["cov_boot"].append(np.abs(dev).max() / math.sqrt(l))
+        reference["prec_boot"].append(np.abs(omega_hat @ dev @ omega_hat).max() / math.sqrt(l))
+
+    sidecar = read_ecdf(tmp_path / "ecdf_n80_p3_b2.csv")
+    for label, values in reference.items():
+        np.testing.assert_allclose(sidecar[label], np.unique(values), rtol=1e-9,
+                                   err_msg=label)
+
+
+def test_failed_sample_precision_skips_both_precision_targets(monkeypatch):
+    def singular(result):
+        raise NearSingularError("forced failure", condition_estimate=np.inf)
+
+    monkeypatch.setattr(harness, "sample_precision", singular)
+    results, skipped = run_cell(toeplitz_spec(2.0, 2, truncation=10_000), n=64,
+                                replicates=10, seed=3, block_rule=FixedBlocks(8))
+    assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
+    assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
+    assert all(s.reason == "sample precision failed: forced failure" for s in skipped)

@@ -7,7 +7,7 @@ import pytest
 from lrdcov import (InvalidPlanError, MemoryBudgetError, SimulationPlan,
                     autocovariance, banded_spec, coefficient, custom_spec,
                     load_batch, save_batch, simulate_multidimensional,
-                    simulate_unidimensional, toeplitz_spec)
+                    toeplitz_spec)
 
 ZETA4 = math.pi ** 4 / 90.0
 GAMMA1 = math.pi ** 2 / 3 - 3
@@ -121,18 +121,13 @@ def pooled_moment(batch, lag):
 
 def test_identity_coefficients_permute_innovations(iid_spec_p1):
     plan = SimulationPlan(iid_spec_p1, n=2, seed=7, N=8)
-    batch = simulate_unidimensional(plan)
+    batch = simulate_multidimensional(plan)
     rng = np.random.default_rng(np.random.SeedSequence(7))
     innovations = rng.standard_normal(8)
     produced = batch.data.ravel()
     assert produced.shape == (8,)
     assert np.allclose(np.sort(produced), np.sort(innovations), rtol=1e-12, atol=1e-12)
     assert np.var(produced) == pytest.approx(np.var(innovations), rel=1e-12)
-
-
-def test_unidimensional_requires_scalar_process():
-    with pytest.raises(InvalidPlanError):
-        simulate_unidimensional(SimulationPlan(toeplitz_spec(2.0, 2), n=16, seed=0, N=64))
 
 
 def test_plan_validation():
@@ -150,14 +145,6 @@ def test_memory_budget_error():
     plan = SimulationPlan(toeplitz_spec(2.0, 2), n=32, seed=0, N=1024)
     with pytest.raises(MemoryBudgetError):
         simulate_multidimensional(plan, element_cap=100)
-
-
-def test_multidimensional_reduces_bitwise_to_unidimensional():
-    spec = toeplitz_spec(0.9, 1, truncation=10_000)
-    plan = SimulationPlan(spec, n=50, seed=2024, N=2500)
-    uni = simulate_unidimensional(plan)
-    multi = simulate_multidimensional(plan)
-    assert np.array_equal(uni.data, multi.data)
 
 
 def test_reproducibility_and_seed_sensitivity():
