@@ -16,7 +16,7 @@ from .errors import (DimensionTooLargeError, HighDimensionError, InvalidPlanErro
                      NotInvertibleError, OutOfRegimeError, TruncationExceededError,
                      ZeroVarianceError)
 from .estimate import EstimateResult, max_deviation, sample_covariance, sample_precision
-from .gaussref import GaussianReference, build_reference, sample_max_abs
+from .gaussref import GaussianReference, MatrixReference, build_reference, sample_max_abs
 from .harness import (ALL_TARGETS, CellResult, ExperimentConfig, SkippedTarget,
                       run_cell, run_grid)
 from .metrics import (DistanceReport, distance_report, ecdf_points,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,26 @@ class GaussianReference:
 
     cov: np.ndarray
     factor: np.ndarray
+
+
+@dataclass(frozen=True)
+class MatrixReference:
+    """Law of Z = scale * L S L^T: L = factor, S = (G + G^T)/sqrt(2), G iid N(0, 1).
+
+    vec(Z) has covariance scale^2 (B_ik B_jl + B_il B_jk) with B = L L^T: a
+    pair-product reference, drawn with no p^2 x p^2 matrix and no basis choice.
+    """
+
+    factor: np.ndarray
+    scale: float
+
+    def transform(self, gauss: np.ndarray) -> np.ndarray:
+        """Z for each G in gauss, shape (k, p, p).  einsum rather than BLAS, so
+        the draws do not depend on the BLAS build or its thread count."""
+        sym = gauss + gauss.swapaxes(1, 2)
+        sym *= self.scale / math.sqrt(2.0)
+        half = np.einsum("ij,kjl->kil", self.factor, sym)
+        return np.einsum("kil,ml->kim", half, self.factor)
 
 
 def build_reference(cov: np.ndarray) -> GaussianReference:
@@ -43,18 +64,25 @@ def build_reference(cov: np.ndarray) -> GaussianReference:
     return GaussianReference(cov, factor)
 
 
-def sample_max_abs(ref: GaussianReference, reps: int, seed: int) -> np.ndarray:
-    """reps independent draws of |factor @ g|_inf, g standard normal."""
+def sample_max_abs(ref: GaussianReference | MatrixReference, reps: int,
+                   seed: int) -> np.ndarray:
+    """reps independent draws of |Z|_inf: Z = factor @ g with g standard normal
+    for a GaussianReference, Z as defined by a MatrixReference."""
     if reps < 1:
         raise ValueError("reps must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dim = ref.factor.shape[1]
+    matrix = isinstance(ref, MatrixReference)
+    p = ref.factor.shape[1]
+    dim = p * p if matrix else p
     out = np.empty(reps)
     chunk = max(1, _CHUNK_ELEMENTS // max(dim, 1))
     done = 0
     while done < reps:
         take = min(chunk, reps - done)
-        gauss = rng.standard_normal((dim, take))
-        out[done:done + take] = np.abs(ref.factor @ gauss).max(axis=0)
+        if matrix:
+            draws = ref.transform(rng.standard_normal((take, p, p))).reshape(take, -1)
+        else:
+            draws = (ref.factor @ rng.standard_normal((dim, take))).T
+        out[done:done + take] = np.abs(draws).max(axis=1)
         done += take
     return out

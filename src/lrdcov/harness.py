@@ -12,7 +12,12 @@ lags, so the truth, the reference and the simulation plan all use the spec
 with truncation N - 1, the last lag drawn, for the built-in (separable)
 structures, and capped at N - 1 for custom ones.  The Gaussian references
 are the long-run covariances (``n=None``) of that truncated process, summed
-unweighted over all its lags, not the finite-n Fejer-weighted ones.
+unweighted over all its lags, not the finite-n Fejer-weighted ones.  For the
+built-in structures that covariance is f times the pair product of L L^T,
+the law of sqrt(f) L S L^T with L = M (or Omega M for the precision), so the
+cell draws it in that matrix form: no p^2 x p^2 matrix, no eigh, and draws
+that do not depend on the BLAS thread count.  Custom specs assemble the
+covariance and factor it.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
@@ -35,10 +40,11 @@ import numpy as np
 from .bootstrap import DefaultBlocks, FixedBlocks, TheoreticalBlocks, resolve_block_length
 from .errors import LrdcovError
 from .estimate import max_deviation, sample_covariance, sample_precision
-from .gaussref import build_reference, sample_max_abs
+from .gaussref import MatrixReference, build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
-from .model import (CoefficientSpec, banded_spec, gaussian_long_run_covariance,
-                    omega_transformed_long_run, process_truth, toeplitz_spec)
+from .model import (CoefficientSpec, _long_run_factor, banded_spec,
+                    gaussian_long_run_covariance, omega_transformed_long_run,
+                    process_truth, template, toeplitz_spec)
 from .simulate import SimulationPlan, simulate_multidimensional
 
 COV_GA = "cov_ga"
@@ -214,16 +220,23 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
             kolmogorov_distance(errors, approx), wasserstein1(errors, approx),
             0, seed))
 
+    if spec.separable and (COV_GA in targets or PREC_GA in want_prec):
+        # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
+        scale, mat = math.sqrt(_long_run_factor(spec)), template(spec)
+        cov_ref = lambda: MatrixReference(mat, scale)
+        prec_ref = lambda: MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat), scale)
+    else:
+        cov_ref = lambda: build_reference(gaussian_long_run_covariance(truth, None))
+        prec_ref = lambda: build_reference(omega_transformed_long_run(truth, None))
+
     if COV_GA in targets:
-        emit(COV_GA, cov_stats, lambda: sample_max_abs(
-            build_reference(gaussian_long_run_covariance(truth, None)),
-            replicates, _seed_int(zcov_ss)))
+        emit(COV_GA, cov_stats,
+             lambda: sample_max_abs(cov_ref(), replicates, _seed_int(zcov_ss)))
     if COV_BOOT in targets:
         emit(COV_BOOT, cov_stats, boot_cov)
     if PREC_GA in want_prec:
-        emit(PREC_GA, prec_stats, lambda: sample_max_abs(
-            build_reference(omega_transformed_long_run(truth, None)),
-            replicates, _seed_int(zprec_ss)))
+        emit(PREC_GA, prec_stats,
+             lambda: sample_max_abs(prec_ref(), replicates, _seed_int(zprec_ss)))
     if PREC_BOOT in want_prec:
         emit(PREC_BOOT, prec_stats, boot_prec)
 

@@ -16,6 +16,7 @@ template product.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,6 +41,12 @@ _DEFAULT_TRUNCATION_MATRIX = 10**4
 _FFT_WORK_THRESHOLD = 2 * 10**8
 # Largest |Omega Sigma - I|_inf accepted from the analytic inverse (eigenvalue floor 0).
 _TRUTH_RESIDUAL_TOL = 1e-10
+# Default dense-assembly cap: the largest p whose reference fits in physical memory
+# (150 where unreported). The assembled matrix plus build_reference's eigh peak
+# near 48 B per p^4 element (RSS: 6.0-6.1 x 8 B at p 50 and 60).
+_REFERENCE_BYTES_PER_P4 = 48
+P_CAP = (int((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              / _REFERENCE_BYTES_PER_P4) ** 0.25) if hasattr(os, "sysconf") else 150)
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
 
 
 def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int],
-                                 p_cap: int = 150) -> np.ndarray:
+                                 p_cap: int = P_CAP) -> np.ndarray:
     """Covariance of the Gaussian reference for the covariance error.
 
     With an integer n this is the finite-n covariance: entry ((s1,t1),(s2,t2))
@@ -313,7 +320,7 @@ def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int],
 
 
 def omega_transformed_long_run(truth: ProcessTruth, n: Optional[int],
-                               p_cap: int = 150) -> np.ndarray:
+                               p_cap: int = P_CAP) -> np.ndarray:
     """Same closed form with every G_k replaced by Omega G_k Omega.
 
     An integer n gives the finite-n covariance and n=None the long-run

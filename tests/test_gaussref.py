@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import lrdcov.gaussref as gaussref
+import lrdcov.harness as harness
 from lrdcov import build_reference, kolmogorov_distance, sample_max_abs
+from lrdcov import (MatrixReference, banded_spec, gaussian_long_run_covariance,
+                    omega_transformed_long_run, run_cell, toeplitz_spec)
 
 
 def test_zero_covariance():
@@ -96,3 +100,63 @@ def test_reps_validated():
     ref = build_reference(np.eye(2))
     with pytest.raises(ValueError):
         sample_max_abs(ref, 0, seed=1)
+
+
+def harness_references(spec, monkeypatch):
+    """The truth and the (cov_ga, prec_ga) references a run_cell of spec draws from."""
+    truths, refs = [], []
+    real_truth, real_draw = harness.process_truth, harness.sample_max_abs
+
+    def truth(*args, **kwargs):
+        truths.append(real_truth(*args, **kwargs))
+        return truths[-1]
+
+    def draw(ref, *args):
+        refs.append(ref)
+        return real_draw(ref, *args)
+
+    monkeypatch.setattr(harness, "process_truth", truth)
+    monkeypatch.setattr(harness, "sample_max_abs", draw)
+    run_cell(spec, n=30, replicates=10, seed=1, targets=("cov_ga", "prec_ga"))
+    (truth,), (cov_ref, prec_ref) = truths, refs
+    return truth, cov_ref, prec_ref
+
+
+def matrix_map(ref):
+    """The linear map g -> vec(Z) of ref.transform as a p^2 x p^2 matrix K,
+    with vec column-major as in the assembled reference."""
+    p = ref.factor.shape[0]
+    basis = np.eye(p * p).reshape(p * p, p, p)
+    return ref.transform(basis).transpose(0, 2, 1).reshape(p * p, p * p).T
+
+
+BUILT_IN = [toeplitz_spec(2.0, 4), banded_spec(1.5, 5, 1)]
+
+
+@pytest.mark.parametrize("spec", BUILT_IN, ids=["toeplitz", "banded"])
+def test_matrix_reference_covariance_is_the_assembled_one(spec, monkeypatch):
+    truth, cov_ref, prec_ref = harness_references(spec, monkeypatch)
+    assert isinstance(cov_ref, MatrixReference) and isinstance(prec_ref, MatrixReference)
+    for ref, oracle in ((cov_ref, gaussian_long_run_covariance(truth, None)),
+                        (prec_ref, omega_transformed_long_run(truth, None))):
+        K = matrix_map(ref)
+        assert np.abs(K @ K.T - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("spec", BUILT_IN, ids=["toeplitz", "banded"])
+def test_matrix_draws_match_assembled_sampler(spec, monkeypatch):
+    truth, cov_ref, prec_ref = harness_references(spec, monkeypatch)
+    reps = 2 * 10 ** 4
+    crit = 1.36 * math.sqrt(2.0 / reps)  # 5% two-sample KS critical value
+    for ref, cov in ((cov_ref, gaussian_long_run_covariance(truth, None)),
+                     (prec_ref, omega_transformed_long_run(truth, None))):
+        matrix = sample_max_abs(ref, reps, seed=12)
+        assembled = sample_max_abs(build_reference(cov), reps, seed=13)
+        assert kolmogorov_distance(matrix, assembled) < crit
+
+
+def test_matrix_draws_do_not_depend_on_chunking(monkeypatch):
+    ref = MatrixReference(np.tril(np.ones((3, 3))), 1.5)
+    whole = sample_max_abs(ref, 50, seed=2)
+    monkeypatch.setattr(gaussref, "_CHUNK_ELEMENTS", 9 * 7)  # 7 draws per chunk
+    assert np.array_equal(sample_max_abs(ref, 50, seed=2), whole)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,26 +187,26 @@ def test_parse_structure_and_block_rule():
 
 
 def test_failed_reference_marks_skip(tmp_path):
-    # p above the dense cap: GA targets skipped, bootstrap still reported
+    # a failed reference draw: GA targets skipped, bootstrap still reported
     spec = toeplitz_spec(2.0, 2, truncation=10_000)
     results, skipped = run_cell(spec, n=64, replicates=10, seed=3,
                                 block_rule=FixedBlocks(8))
     assert not skipped  # sanity: the normal cell has none
 
     import lrdcov.harness as H
-    original = H.gaussian_long_run_covariance
+    original = H.sample_max_abs
 
-    def boom(truth, n):
+    def boom(ref, reps, seed):
         from lrdcov.errors import DimensionTooLargeError
         raise DimensionTooLargeError("forced failure")
 
-    H.gaussian_long_run_covariance = boom
+    H.sample_max_abs = boom
     try:
         results, skipped = run_cell(spec, n=64, replicates=10, seed=3,
                                     block_rule=FixedBlocks(8),
                                     targets=("cov_ga", "cov_boot"))
     finally:
-        H.gaussian_long_run_covariance = original
+        H.sample_max_abs = original
     assert [r.kind for r in results] == ["cov_boot"]
     assert [s.kind for s in skipped] == ["cov_ga"]
     assert "forced failure" in skipped[0].reason
@@ -259,3 +263,41 @@ def test_failed_sample_precision_skips_both_precision_targets(monkeypatch):
     assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
     assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
     assert all(s.reason == "sample precision failed: forced failure" for s in skipped)
+
+
+def test_built_in_cell_does_not_assemble_the_reference(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense reference assembled or factored")
+
+    for name in ("gaussian_long_run_covariance", "omega_transformed_long_run",
+                 "build_reference"):
+        monkeypatch.setattr(harness, name, refuse)
+    results, skipped = run_cell(toeplitz_spec(2.0, 3), n=64, replicates=10, seed=3,
+                                block_rule=FixedBlocks(8), targets=("cov_ga", "prec_ga"))
+    assert not skipped
+    assert [r.kind for r in results] == ["cov_ga", "prec_ga"]
+
+
+GRID_SCRIPT = """
+import sys
+from lrdcov import ExperimentConfig, FixedBlocks, run_grid
+for beta in (2.0, 0.55):
+    run_grid(ExperimentConfig(grid_n=[100], grid_p=[3, 30], betas=[beta],
+                              replicates=100, block_rule=FixedBlocks(10), seed=17,
+                              output_dir=sys.argv[1] + f"/b{beta}"))
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outdir = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", GRID_SCRIPT, str(outdir)], env=env,
+                       check=True, timeout=300)
+        outputs[threads] = {str(path.relative_to(outdir)): path.read_bytes()
+                            for path in sorted(outdir.rglob("*.csv"))}
+    assert len(outputs["1"]) == 2 * (1 + 2 * 5)  # per grid: results, per cell 4 QQ + 1 ECDF
+    assert outputs["1"] == outputs["2"]

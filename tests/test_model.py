@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +247,24 @@ def test_long_run_dimension_cap():
     truth = process_truth(toeplitz_spec(2.0, 4, truncation=100), lags=2)
     with pytest.raises(DimensionTooLargeError):
         gaussian_long_run_covariance(truth, 10, p_cap=3)
+
+
+def test_default_dimension_cap_fits_memory_and_refuses_before_allocating():
+    from lrdcov import DimensionTooLargeError
+    from lrdcov.model import P_CAP
+    # the dense reference (assembly, then its eigh factor) peaks near 48 B per p^4 element
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 48 * P_CAP ** 4 <= memory < 48 * (P_CAP + 1) ** 4
+    truth = process_truth(toeplitz_spec(2.0, P_CAP + 1, truncation=10), lags=2)
+    tracemalloc.start()
+    try:
+        for build in (gaussian_long_run_covariance, omega_transformed_long_run):
+            with pytest.raises(DimensionTooLargeError):
+                build(truth, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_omega_transform_identity_covariance(iid_spec_p2):
