@@ -47,3 +47,7 @@ class MemoryBudgetError(LrdcovError):
 
 class ZeroVarianceError(LrdcovError):
     """A series is constant where variation is required."""
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column    # index of the failing column of a stack

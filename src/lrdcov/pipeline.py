@@ -10,12 +10,14 @@ frequently detected fraction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bootstrap import DefaultBlocks, precision_blocks, quantile, resolve_block_length
 from .errors import HighDimensionError, ZeroVarianceError
@@ -55,34 +57,84 @@ class AcfSignificance:
     flag: bool
 
 
-def _demean(data: np.ndarray) -> np.ndarray:
-    return data - data.mean(axis=0, keepdims=True)
-
-
 def ingest(path, subject_id: Optional[str] = None) -> SubjectSeries:
-    """Read one subject's CSV (header row of labels, numeric rows), demeaned."""
+    """Read one subject's CSV (header row of labels, numeric rows), demeaned.
+
+    Blank lines are skipped and cells may be quoted or padded with spaces;
+    every value must be a finite number.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
+        header = next((row for row in csv.reader(fh) if row), None)
+        body = fh.read()
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    labels = tuple(cell.strip() for cell in rows[0])
-    p = len(labels)
-    data = np.empty((len(rows) - 1, p))
-    if data.shape[0] == 0:
+    labels = tuple(cell.strip() for cell in header)
+    if not body.strip("\r\n"):
         raise ValueError(f"{path}: no data rows")
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != p:
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {p}")
-        for j, cell in enumerate(row):
+    try:  # comments=None: the default "#" would silently cut a cell short
+        data = np.loadtxt(io.StringIO(body, newline=None), delimiter=",",
+                          ndmin=2, quotechar='"', comments=None)
+        if data.shape[1] != len(labels):
+            raise ValueError(f"{data.shape[1]} fields per row, expected {len(labels)}")
+    except ValueError as exc:
+        _raise_bad_cell(path, labels, body)
+        raise ValueError(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 2}, column {labels[j]!r}: "
+                         f"non-finite value {float(data[i, j])}")
+    return SubjectSeries(subject_id or path.stem, data - data.mean(axis=0), labels)
+
+
+def _raise_bad_cell(path: Path, labels: tuple[str, ...], body: str) -> None:
+    """Raise for the first ragged row or non-numeric cell of the data rows
+    (numbered from the header, row 1, skipping blank lines), if any."""
+    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(labels):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
+        for label, cell in zip(labels, row):
             try:
-                data[i - 2, j] = float(cell)
+                float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {i}, column {labels[j]!r}: "
-                    f"non-numeric field {cell!r}") from None
-    return SubjectSeries(subject_id or path.stem, _demean(data), labels)
+                raise ValueError(f"{path}: row {i}, column {label!r}: "
+                                 f"non-numeric field {cell!r}") from None
+
+
+def _hurst_columns(X: np.ndarray) -> np.ndarray:
+    """`hurst_exponent` of each column of an (n, p) stack.  A ZeroVarianceError
+    carries the index of the first failing column."""
+    rows = np.ascontiguousarray(X.T)  # (p, n): every reduction runs along the last axis
+    p, n = rows.shape
+    if n < 32:
+        raise ValueError(f"series too short for R/S analysis (n = {n} < 32)")
+    constant = np.flatnonzero(np.ptp(rows, axis=-1) == 0.0)
+    if constant.size:
+        raise ZeroVarianceError("constant series has no rescaled range", int(constant[0]))
+    sizes = 8 << np.arange((n // 16).bit_length())  # 8, 16, ... up to n/2
+    log_rs = np.empty((sizes.size, p))
+    for s, w in enumerate(sizes):
+        blocks = rows[:, :(n // w) * w].reshape(p, n // w, w)
+        centered = blocks - blocks.mean(axis=-1, keepdims=True)
+        spread = centered.std(axis=-1)
+        cumdev = np.cumsum(centered, axis=-1)
+        ranges = cumdev.max(axis=-1) - cumdev.min(axis=-1)
+        keep = spread > 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN: no varying window
+            log_rs[s] = np.log(np.where(keep, ranges / spread, 0.0).sum(axis=-1)
+                               / keep.sum(axis=-1))
+    fitted = ~np.isnan(log_rs)
+    unfit = np.flatnonzero(fitted.sum(axis=0) < 2)
+    if unfit.size:
+        raise ZeroVarianceError("not enough varying windows for a slope fit", int(unfit[0]))
+    slopes = np.empty(p)
+    for mask in np.unique(fitted, axis=1).T:  # one fit per set of fitted sizes
+        cols = (fitted == mask[:, None]).all(axis=0)
+        design = np.column_stack([np.ones(mask.sum()), np.log(sizes[mask])])
+        slopes[cols] = np.linalg.lstsq(design, log_rs[mask][:, cols], rcond=None)[0][1]
+    return np.clip(slopes, 0.0, 1.0)
 
 
 def hurst_exponent(series) -> float:
@@ -93,53 +145,33 @@ def hurst_exponent(series) -> float:
     by the window standard deviation; log of the averaged ratio is regressed
     on log(w) and the slope, clamped to [0, 1], is returned.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
-    if n < 32:
-        raise ValueError(f"series too short for R/S analysis (n = {n} < 32)")
-    if np.ptp(x) == 0.0:
-        raise ZeroVarianceError("constant series has no rescaled range")
-    sizes = []
-    w = 8
-    while w <= n // 2:
-        sizes.append(w)
-        w *= 2
-    log_w, log_rs = [], []
-    for w in sizes:
-        blocks = x[:(n // w) * w].reshape(n // w, w)
-        centered = blocks - blocks.mean(axis=1, keepdims=True)
-        spread = centered.std(axis=1)
-        cumdev = np.cumsum(centered, axis=1)
-        ranges = cumdev.max(axis=1) - cumdev.min(axis=1)
-        keep = spread > 0
-        if not keep.any():
-            continue
-        log_w.append(math.log(w))
-        log_rs.append(math.log((ranges[keep] / spread[keep]).mean()))
-    if len(log_w) < 2:
-        raise ZeroVarianceError("not enough varying windows for a slope fit")
-    design = np.column_stack([np.ones(len(log_w)), log_w])
-    slope = np.linalg.lstsq(design, np.asarray(log_rs), rcond=None)[0][1]
-    return float(min(max(slope, 0.0), 1.0))
+    return float(_hurst_columns(np.asarray(series, dtype=float).reshape(-1, 1))[0])
+
+
+def _acf_counts(X: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """`acf_significance` counts of each column of an (n, p) stack.  A
+    ZeroVarianceError carries the index of the first failing column."""
+    rows = np.ascontiguousarray(X.T)
+    p, n = rows.shape
+    if not 1 <= lag_lo <= lag_hi < n:
+        raise ValueError(f"lag range [{lag_lo}, {lag_hi}] invalid for n = {n}")
+    centered = rows - rows.mean(axis=-1, keepdims=True)
+    denom = np.einsum("pt,pt->p", centered, centered)
+    constant = np.flatnonzero(denom == 0.0)
+    if constant.size:
+        raise ZeroVarianceError("constant series has no autocorrelation", int(constant[0]))
+    # shifted[:, h - lag_lo, t] = centered[:, t + h], zero past the end
+    padded = np.concatenate([centered, np.zeros((p, lag_hi))], axis=-1)
+    shifted = sliding_window_view(padded, n, axis=-1)[:, lag_lo:]
+    rho = np.einsum("pt,pht->ph", centered, shifted) / denom[:, None]
+    return np.count_nonzero(np.abs(rho) > 1.96 / math.sqrt(n), axis=-1)
 
 
 def acf_significance(series, lag_lo: int = ACF_LAG_LO,
                      lag_hi: int = ACF_LAG_HI) -> AcfSignificance:
     """Count autocorrelations in [lag_lo, lag_hi] beyond the 1.96/sqrt(n) band."""
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
-    if not 1 <= lag_lo <= lag_hi < n:
-        raise ValueError(f"lag range [{lag_lo}, {lag_hi}] invalid for n = {n}")
-    centered = x - x.mean()
-    denom = centered @ centered
-    if denom == 0.0:
-        raise ZeroVarianceError("constant series has no autocorrelation")
-    threshold = 1.96 / math.sqrt(n)
-    count = 0
-    for h in range(lag_lo, lag_hi + 1):
-        rho = (centered[:-h] @ centered[h:]) / denom
-        if abs(rho) > threshold:
-            count += 1
+    series = np.asarray(series, dtype=float).reshape(-1, 1)
+    count = int(_acf_counts(series, lag_lo, lag_hi)[0])
     return AcfSignificance(count, count >= 1)
 
 
@@ -158,15 +190,13 @@ def subject_graph(subject: SubjectSeries, alpha: float,
     edges = {}
     if math.isfinite(q_hat):
         half_width = q_hat / math.sqrt(n)
-        for j in range(p):
-            for k in range(j + 1, p):
-                entry = omega_hat[j, k]
-                if abs(entry) > half_width:
-                    pair = tuple(sorted((subject.labels[j], subject.labels[k])))
-                    edges[pair] = EdgeStat(count=1,
-                                           score=abs(entry) - half_width,
-                                           lower=entry - half_width,
-                                           upper=entry + half_width)
+        rows, cols = np.triu_indices(p, 1)
+        entries = omega_hat[rows, cols]
+        hit = np.abs(entries) > half_width
+        for j, k, entry in zip(rows[hit], cols[hit], entries[hit]):
+            pair = tuple(sorted((subject.labels[j], subject.labels[k])))
+            edges[pair] = EdgeStat(count=1, score=abs(entry) - half_width,
+                                   lower=entry - half_width, upper=entry + half_width)
     return EdgeSet(subject.labels, edges)
 
 
@@ -199,14 +229,18 @@ def aggregate_group(edge_sets: Sequence[EdgeSet], sparsity: float) -> EdgeSet:
 def subject_diagnostics(subject: SubjectSeries,
                         lag_lo: int = ACF_LAG_LO,
                         lag_hi: int = ACF_LAG_HI) -> list[tuple[str, float, int]]:
-    """(column label, Hurst exponent, significant-ACF count) per coordinate."""
-    lag_hi = min(lag_hi, subject.data.shape[0] - 1)
-    rows = []
-    for j, label in enumerate(subject.labels):
-        series = subject.data[:, j]
-        rows.append((label, hurst_exponent(series),
-                     acf_significance(series, lag_lo, lag_hi).count))
-    return rows
+    """(column label, Hurst exponent, significant-ACF count) per coordinate.
+
+    A constant column raises ZeroVarianceError naming the subject and column.
+    """
+    data = subject.data
+    try:
+        hurst = _hurst_columns(data)
+        counts = _acf_counts(data, lag_lo, min(lag_hi, data.shape[0] - 1))
+    except ZeroVarianceError as exc:
+        raise ZeroVarianceError(f"subject {subject.id!r}, column "
+                                f"{subject.labels[exc.column]!r}: {exc}", exc.column) from exc
+    return list(zip(subject.labels, hurst.tolist(), counts.tolist()))
 
 
 def write_edges_csv(edge_set: EdgeSet, path) -> None:

@@ -1,14 +1,18 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lrdcov import (AcfSignificance, EdgeSet, EdgeStat, HighDimensionError,
-                    SimulationPlan, SubjectSeries, ZeroVarianceError,
-                    acf_significance, aggregate_group, banded_spec, hurst_exponent,
-                    ingest, simulate_multidimensional, subject_diagnostics,
-                    subject_graph, toeplitz_spec, write_diagnostics_csv,
-                    write_edges_csv)
+from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
+                    HighDimensionError, SimulationPlan, SubjectSeries,
+                    ZeroVarianceError, acf_significance, aggregate_group,
+                    banded_spec, hurst_exponent, ingest, precision_blocks,
+                    quantile, resolve_block_length, sample_covariance,
+                    sample_precision, simulate_multidimensional,
+                    subject_diagnostics, subject_graph, toeplitz_spec,
+                    write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
 
 LABELS5 = tuple("abcde")
@@ -57,6 +61,74 @@ def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
+        ingest(path)
+
+
+def ingest_oracle(path):
+    """The per-cell parse `ingest` replaced: csv rows, one float() per cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    labels = tuple(cell.strip() for cell in rows[0])
+    data = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    return labels, data - data.mean(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n\n1,2\n\n3,4.5\n\n",
+    "\na,b\r\n1,2\r\n\r\n3,4.5\r\n",
+    "a,b\r1,2\r\r3,4.5\r",
+    '"a","b"\n"1",2\n3,"4.5"\n',
+    " a , b \n 1 ,2\n3 , 4.5 \n",
+    "a,b\n1e0,+2\n-3E-1,.5\n7,8",
+], ids=["blank_lines", "crlf", "cr", "quoted", "whitespace", "literals"])
+def test_ingest_matches_per_cell_parse(tmp_path, text):
+    path = tmp_path / "subject.csv"
+    path.write_bytes(text.encode())
+    labels, data = ingest_oracle(path)
+    subject = ingest(path)
+    assert subject.labels == labels == ("a", "b")
+    assert np.array_equal(subject.data, data)
+
+
+@pytest.mark.parametrize("cell", ["2#3", "#3"])
+def test_ingest_rejects_comment_cells(tmp_path, cell):
+    path = tmp_path / "hash.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(ValueError, match="row 3, column 'b'.*non-numeric"):
+        ingest(path)
+
+
+def test_ingest_rejects_digit_separators(tmp_path):
+    # float() accepts "1_0"; the C parser does not, and its error is re-raised.
+    path = tmp_path / "underscore.csv"
+    path.write_text("a,b\n1,2\n3,1_0\n")
+    with pytest.raises(ValueError, match="1_0") as info:
+        ingest(path)
+    assert info.value.__cause__ is not None
+
+
+def test_ingest_rejects_consistent_wrong_width(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("a,b\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match="row 2 has 3 fields, expected 2"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+def test_ingest_header_only_raises_without_warning(tmp_path, body):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            ingest(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_ingest_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"a,b\n1,2\n\n3,{cell}\n")
+    with pytest.raises(ValueError, match="row 3, column 'b'.*non-finite"):
         ingest(path)
 
 
@@ -149,6 +221,78 @@ def test_acf_lag_range_validated():
         acf_significance(np.zeros(200))
 
 
+# --- diagnostics kernels against the per-column loops -------------------------
+
+def hurst_oracle(x):
+    """The per-column R/S loop the stacked kernel replaced."""
+    n = x.size
+    sizes = []
+    w = 8
+    while w <= n // 2:
+        sizes.append(w)
+        w *= 2
+    log_w, log_rs = [], []
+    for w in sizes:
+        blocks = x[:(n // w) * w].reshape(n // w, w)
+        centered = blocks - blocks.mean(axis=1, keepdims=True)
+        spread = centered.std(axis=1)
+        cumdev = np.cumsum(centered, axis=1)
+        ranges = cumdev.max(axis=1) - cumdev.min(axis=1)
+        keep = spread > 0
+        if keep.any():
+            log_w.append(math.log(w))
+            log_rs.append(math.log((ranges[keep] / spread[keep]).mean()))
+    design = np.column_stack([np.ones(len(log_w)), log_w])
+    slope = np.linalg.lstsq(design, np.asarray(log_rs), rcond=None)[0][1]
+    return min(max(slope, 0.0), 1.0)
+
+
+def acf_count_oracle(x, lag_lo, lag_hi):
+    """The per-lag dot-product loop the stacked kernel replaced."""
+    centered = x - x.mean()
+    denom = centered @ centered
+    threshold = 1.96 / math.sqrt(x.size)
+    return sum(abs(centered[:-h] @ centered[h:] / denom) > threshold
+               for h in range(lag_lo, lag_hi + 1))
+
+
+def diagnostics_panel(n, p, seed):
+    """White noise, random walks and long memory side by side."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, p))
+    X = noise + np.linspace(0.0, 0.3, p) * noise.cumsum(axis=0)
+    if p > 2:  # zero-spread windows in column 2; every window size keeps some
+        X[:n // 3, 2] = 1.5
+    return X
+
+
+@pytest.mark.parametrize("n, p", [(1000, 1), (2000, 5), (120, 6), (64, 3), (47, 2)])
+def test_diagnostics_kernels_match_per_column_loops(n, p):
+    X = diagnostics_panel(n, p, seed=n + p)
+    if n == 120:
+        # Column 3 varies only in its last 20 rows: no window of size 32 varies,
+        # so that column fits its slope on sizes 8 and 16 alone.
+        X[:100, 3] = -2.0
+    subject = make_subject(X)
+    lag_hi = min(100, n - 1)  # the clamp subject_diagnostics applies
+    rows = subject_diagnostics(subject)
+    for j, (label, hurst, count) in enumerate(rows):
+        x = subject.data[:, j]
+        assert label == subject.labels[j]
+        assert hurst == pytest.approx(hurst_oracle(x), rel=1e-12, abs=0)
+        assert hurst_exponent(x) == pytest.approx(hurst_oracle(x), rel=1e-12, abs=0)
+        assert count == acf_count_oracle(x, 21, lag_hi)
+        assert acf_significance(x, 21, lag_hi).count == count
+
+
+def test_diagnostics_constant_column_names_subject_and_column():
+    X = np.random.default_rng(4).standard_normal((200, 3))
+    X[:, 1] = 7.0
+    subject = SubjectSeries("subj07", X - X.mean(axis=0), ("left", "mid", "right"))
+    with pytest.raises(ZeroVarianceError, match="subj07.*'mid'"):
+        subject_diagnostics(subject)
+
+
 # --- subject graphs ---------------------------------------------------------------
 
 def test_subject_graph_null_false_edges():
@@ -172,6 +316,37 @@ def test_subject_graph_structure_properties():
         assert stat.score >= 0.0
         assert stat.lower is not None and stat.upper is not None
         assert not (stat.lower <= 0.0 <= stat.upper)
+
+
+def edges_oracle(subject, alpha):
+    """The double loop over j < k that subject_graph's edge mask replaced."""
+    data = subject.data
+    n, p = data.shape
+    omega_hat = sample_precision(sample_covariance(data))
+    dist = precision_blocks(data, resolve_block_length(DefaultBlocks(), n, p),
+                            omega=omega_hat)
+    half_width = quantile(dist, 1.0 - alpha) / math.sqrt(n)
+    edges = {}
+    for j in range(p):
+        for k in range(j + 1, p):
+            entry = omega_hat[j, k]
+            if abs(entry) > half_width:
+                pair = tuple(sorted((subject.labels[j], subject.labels[k])))
+                edges[pair] = EdgeStat(1, abs(entry) - half_width,
+                                       entry - half_width, entry + half_width)
+    return edges
+
+
+def test_subject_graph_edges_match_double_loop():
+    X = np.random.default_rng(11).standard_normal((400, 8))
+    X[:, 1:] += 0.6 * X[:, :-1]  # a chain of neighbour couplings
+    labels = ("h", "b", "g", "a", "f", "c", "e", "d")  # sorting reorders pairs
+    subject = make_subject(X, labels)
+    for alpha in (0.05, 0.5, 0.99):
+        got = subject_graph(subject, alpha).edges
+        want = edges_oracle(subject, alpha)
+        assert got
+        assert list(got.items()) == list(want.items())
 
 
 def test_subject_graph_requires_low_dimension():
