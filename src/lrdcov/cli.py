@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,9 +28,7 @@ from .simulate import SimulationPlan, save_batch, simulate_multidimensional
 def _load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    known = {"grid_n", "grid_p", "betas", "structure", "replicates",
-             "block_rule", "targets", "seed", "output_dir"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "block_rule" in raw:

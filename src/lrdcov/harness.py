@@ -21,8 +21,8 @@ covariance and factor it.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
-kept on the in-memory results but serialized as 0 by default, because the
-results CSV is required to be replay-deterministic.
+kept on the returned results but written to the results CSV as 0, because
+that file is required to be replay-deterministic.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _cell_tag(n: int, p: int, beta: float) -> str:
-    return f"n{n}_p{p}_b{beta:.6g}"
-
-
 def _write_qq(path: Path, approx, errors, q: int) -> None:
     pairs = qq_pairs(approx, errors, q)
     with open(path, "w", newline="\n") as fh:
@@ -149,15 +145,16 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     there (see the module docstring), so the error is centred on the covariance
     of the process actually drawn.  The Gaussian reference samples come from
     the long-run covariance of that process, for the precision targets
-    conjugated by the true Omega.
+    conjugated by the true Omega.  Targets are drawn and scored one at a time,
+    in ALL_TARGETS order.
     """
     targets = tuple(targets)
     for kind in targets:
         if kind not in ALL_TARGETS:
             raise ValueError(f"unknown target {kind!r}")
+    kinds = [k for k in ALL_TARGETS if k in targets]
     start = time.perf_counter()
     p, beta = spec.p, spec.beta
-    results: list[CellResult] = []
     skipped: list[SkippedTarget] = []
 
     root = np.random.SeedSequence(seed)
@@ -171,11 +168,10 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     X = simulate_multidimensional(plan).data
     est = sample_covariance(X)
     truth = process_truth(spec, lags=min(2, spec.truncation))
-    cov_stats = max_deviation(est.sigma_hat, truth.sigma, n)
+    samples = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
 
-    want_prec = [k for k in (PREC_GA, PREC_BOOT) if k in targets]
-    omega_hats = prec_stats = None
-    if want_prec:
+    prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
+    if prec_kinds:
         reason = None
         if p >= n:
             reason = f"precision targets need p < n (p={p}, n={n})"
@@ -186,68 +182,55 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                 omega_hats = sample_precision(est)
             except LrdcovError as exc:
                 reason = f"sample precision failed: {exc}"
-        if reason is not None:
-            skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in want_prec)
-            want_prec = []
+        if reason is None:
+            samples["prec_error"] = max_deviation(omega_hats, truth.omega, n)
         else:
-            prec_stats = max_deviation(omega_hats, truth.omega, n)
+            skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
+            kinds = [k for k in kinds if k not in prec_kinds]
 
     # One bootstrap value per copy at a uniformly random window end i in [l, n]:
     # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the same
     # for its Omega_hat conjugate; one window serves both statistics.
-    boot_cov = boot_prec = None
-    if COV_BOOT in targets or PREC_BOOT in want_prec:
+    if COV_BOOT in kinds or PREC_BOOT in kinds:
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
         rows = X[np.arange(replicates)[:, None], ends[:, None] - l + np.arange(l)]
         dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
-        boot_cov = np.abs(dev).max(axis=(1, 2)) / math.sqrt(l)
-        if PREC_BOOT in want_prec:
-            boot_prec = np.abs(omega_hats @ dev @ omega_hats).max(axis=(1, 2)) / math.sqrt(l)
-
-    samples: dict[str, np.ndarray] = {"cov_error": cov_stats}
-    if prec_stats is not None:
-        samples["prec_error"] = prec_stats
-
-    def emit(kind: str, errors: np.ndarray, draw) -> None:
-        try:
-            approx = draw() if callable(draw) else draw
-        except LrdcovError as exc:
-            skipped.append(SkippedTarget(n, p, beta, kind, str(exc)))
-            return
-        samples[kind] = approx
-        results.append(CellResult(
-            n, p, beta, kind,
-            kolmogorov_distance(errors, approx), wasserstein1(errors, approx),
-            0, seed))
-
-    if spec.separable and (COV_GA in targets or PREC_GA in want_prec):
+    if spec.separable and (COV_GA in kinds or PREC_GA in kinds):
         # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
         scale, mat = math.sqrt(_long_run_factor(spec)), template(spec)
-        cov_ref = lambda: MatrixReference(mat, scale)
-        prec_ref = lambda: MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat), scale)
-    else:
-        cov_ref = lambda: build_reference(gaussian_long_run_covariance(truth, None))
-        prec_ref = lambda: build_reference(omega_transformed_long_run(truth, None))
 
-    if COV_GA in targets:
-        emit(COV_GA, cov_stats,
-             lambda: sample_max_abs(cov_ref(), replicates, _seed_int(zcov_ss)))
-    if COV_BOOT in targets:
-        emit(COV_BOOT, cov_stats, boot_cov)
-    if PREC_GA in want_prec:
-        emit(PREC_GA, prec_stats,
-             lambda: sample_max_abs(prec_ref(), replicates, _seed_int(zprec_ss)))
-    if PREC_BOOT in want_prec:
-        emit(PREC_BOOT, prec_stats, boot_prec)
+    scores = []
+    for kind in kinds:
+        prec = kind in (PREC_GA, PREC_BOOT)
+        errors = samples["prec_error" if prec else "cov_error"]
+        if kind in (COV_BOOT, PREC_BOOT):
+            window = omega_hats @ dev @ omega_hats if prec else dev
+            approx = np.abs(window).max(axis=(1, 2)) / math.sqrt(l)
+        else:
+            try:
+                if spec.separable:
+                    ref = MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat)
+                                          if prec else mat, scale)
+                else:
+                    ref = build_reference(omega_transformed_long_run(truth, None) if prec
+                                          else gaussian_long_run_covariance(truth, None))
+                approx = sample_max_abs(ref, replicates,
+                                        _seed_int(zprec_ss if prec else zcov_ss))
+            except LrdcovError as exc:
+                skipped.append(SkippedTarget(n, p, beta, kind, str(exc)))
+                continue
+        samples[kind] = approx
+        scores.append((kind, kolmogorov_distance(errors, approx),
+                       wasserstein1(errors, approx)))
 
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    results = [CellResult(r.n, r.p, r.beta, r.kind, r.ks, r.w1, elapsed_ms, r.seed)
-               for r in results]
+    results = [CellResult(n, p, beta, kind, ks, w1, elapsed_ms, seed)
+               for kind, ks, w1 in scores]
 
     if output_dir is not None:
         outdir = Path(output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        tag = _cell_tag(n, p, beta)
+        tag = f"n{n}_p{p}_b{beta:.6g}"
         q = min(99, replicates)
         for r in results:
             errors = samples["prec_error" if r.kind.startswith("prec") else "cov_error"]
@@ -257,19 +240,12 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     return results, skipped
 
 
-def _format_result(r: CellResult, record_runtime: bool) -> str:
-    runtime = r.runtime_ms if record_runtime else 0
-    return (f"{r.n},{r.p},{r.beta:.6g},{r.kind},{r.ks:.6g},{r.w1:.6g},"
-            f"{runtime},{r.seed}\n")
-
-
-def run_grid(config: ExperimentConfig, workers: int = 1,
-             record_runtime: bool = False) -> list[CellResult]:
+def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     """Run the whole grid, streaming rows to <output_dir>/results.csv.
 
     Rows appear in grid order (beta, then n, then p) regardless of worker
-    scheduling.  `record_runtime=True` writes measured runtimes into the CSV
-    at the cost of replay determinism.
+    scheduling.  The CSV's runtime_ms column is 0 so that reruns are
+    byte-identical; the measured runtimes are on the returned CellResults.
     """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +275,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1,
         fh.flush()
         for results, skipped in (pool.map if pool else map)(work, enumerate(cells)):
             for r in results:
-                fh.write(_format_result(r, record_runtime))
+                fh.write(f"{r.n},{r.p},{r.beta:.6g},{r.kind},{r.ks:.6g},{r.w1:.6g},"
+                         f"0,{r.seed}\n")
             fh.flush()
             all_results.extend(results)
             all_skipped.extend(skipped)

@@ -156,17 +156,7 @@ def _custom_coeff_stack(spec: CoefficientSpec, count: int) -> np.ndarray:
 
 def autocovariance(spec: CoefficientSpec, k: int) -> np.ndarray:
     """Gamma_k = sum_{t=0}^{truncation} A_t A_{t+|k|}^T, with Gamma_{-k} = Gamma_k^T."""
-    if abs(k) > spec.truncation:
-        raise TruncationExceededError(
-            f"lag |{k}| exceeds truncation {spec.truncation}")
-    kk = abs(k)
-    if spec.separable:
-        mat = template(spec)
-        gam = _lag_sums(spec, kk)[kk] * (mat @ mat.T)
-    else:
-        stack = _custom_coeff_stack(spec, spec.truncation + 1 + kk)
-        gam = np.einsum("tpd,tqd->pq", stack[:spec.truncation + 1],
-                        stack[kk:kk + spec.truncation + 1])
+    gam = autocovariance_sequence(spec, abs(k))[abs(k)]
     return gam if k >= 0 else gam.T
 
 
@@ -234,12 +224,6 @@ def _pair_product(gam: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 3, 2).reshape(p * p, p * p)
 
 
-def _ensure_gammas(truth: ProcessTruth, max_lag: int) -> np.ndarray:
-    if truth.lags >= max_lag:
-        return truth.gamma[:max_lag + 1]
-    return autocovariance_sequence(truth.spec, max_lag)
-
-
 def _truncated_gammas(spec: CoefficientSpec) -> np.ndarray:
     """Lag-k autocovariances of the process truncated at H = spec.truncation:
     sum_{t=0}^{H-k} A_t A_{t+k}^T for k = 0..H, shape (H + 1, p, p)."""
@@ -289,8 +273,10 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
         return factor * _pair_product(base)
     if weights is None:
         gammas, weights = _truncated_gammas(spec), np.ones(max_lag + 1)
+    elif truth.lags >= max_lag:
+        gammas = truth.gamma[:max_lag + 1]
     else:
-        gammas = _ensure_gammas(truth, max_lag)
+        gammas = autocovariance_sequence(spec, max_lag)
     if transform is not None:
         gammas = transform @ gammas @ transform
     total = weights[0] * _pair_product(gammas[0])

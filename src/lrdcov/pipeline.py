@@ -61,7 +61,8 @@ def ingest(path, subject_id: Optional[str] = None) -> SubjectSeries:
     """Read one subject's CSV (header row of labels, numeric rows), demeaned.
 
     Blank lines are skipped and cells may be quoted or padded with spaces;
-    every value must be a finite number.
+    every value must be a finite number, and so must each demeaned column's
+    sum of squares.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -78,29 +79,37 @@ def ingest(path, subject_id: Optional[str] = None) -> SubjectSeries:
         if data.shape[1] != len(labels):
             raise ValueError(f"{data.shape[1]} fields per row, expected {len(labels)}")
     except ValueError as exc:
-        _raise_bad_cell(path, labels, body)
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {_bad_cell(labels, body) or exc}") from exc
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"{path}: row {i + 2}, column {labels[j]!r}: "
                          f"non-finite value {float(data[i, j])}")
-    return SubjectSeries(subject_id or path.stem, data - data.mean(axis=0), labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = data - data.mean(axis=0)
+        overflow = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", data, data)))
+    if overflow.size:
+        raise ValueError(f"{path}: column {labels[overflow[0]]!r}: values too large, "
+                         f"the sum of squares after demeaning is not finite")
+    return SubjectSeries(subject_id or path.stem, data, labels)
 
 
-def _raise_bad_cell(path: Path, labels: tuple[str, ...], body: str) -> None:
-    """Raise for the first ragged row or non-numeric cell of the data rows
-    (numbered from the header, row 1, skipping blank lines), if any."""
+def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
+    """Describe the first ragged row or non-numeric cell of the data rows
+    (numbered from the header, row 1, skipping blank lines); None if none."""
     rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
     for i, row in enumerate(rows, start=2):
         if len(row) != len(labels):
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(labels)}")
+            return f"row {i} has {len(row)} fields, expected {len(labels)}"
         for label, cell in zip(labels, row):
-            try:
+            try:  # float() also takes "1_0" and non-ASCII digits; numpy's parser does not
                 float(cell)
+                if cell.strip().isascii() and "_" not in cell:
+                    continue
             except ValueError:
-                raise ValueError(f"{path}: row {i}, column {label!r}: "
-                                 f"non-numeric field {cell!r}") from None
+                pass
+            return f"row {i}, column {label!r}: non-numeric field {cell!r}"
+    return None
 
 
 def _hurst_columns(X: np.ndarray) -> np.ndarray:

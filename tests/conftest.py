@@ -15,3 +15,15 @@ def iid_spec_p1():
 def iid_spec_p2():
     return custom_spec(lambda t: np.eye(2) if t == 0 else np.zeros((2, 2)),
                        beta=1.0, p=2, d=2, truncation=4)
+
+
+@pytest.fixture
+def huge_csv(tmp_path):
+    """303 x 3 table: column 'a' of order 1, 'b' and 'c' near 1e200, whose
+    squares overflow."""
+    rng = np.random.default_rng(4)
+    data = 1e200 * (1.0 + rng.standard_normal((303, 3)))
+    data[:, 0] = rng.standard_normal(303)
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    return path

@@ -53,6 +53,13 @@ def test_bootstrap_ci_subcommand(tmp_path, capsys):
     assert out["l"] == 34  # default rule: floor(200^(2/3))
 
 
+@pytest.mark.parametrize("kind", ["cov", "prec"])
+def test_bootstrap_ci_rejects_overflowing_squares(huge_csv, capsys, kind):
+    with pytest.raises(ValueError, match="column 'b'"):
+        main(["bootstrap-ci", "--data", str(huge_csv), "--kind", kind])
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     config = {
         "grid_n": [64], "grid_p": [2], "betas": [2.0],

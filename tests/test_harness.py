@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -88,6 +89,20 @@ def test_precision_skipped_when_p_not_below_n():
     assert kinds == {"cov_ga", "cov_boot"}
     assert {s.kind for s in skipped} == {"prec_ga", "prec_boot"}
     assert all("p < n" in s.reason for s in skipped)
+
+
+@pytest.mark.parametrize("p, n", [(2, 32), (4, 4)])
+def test_cell_reports_exactly_the_requested_targets(p, n):
+    # every non-empty subset, passed in reverse order; p >= n skips the precision ones
+    for size in range(1, len(ALL_TARGETS) + 1):
+        for subset in itertools.combinations(ALL_TARGETS, size):
+            results, skipped = run_cell(toeplitz_spec(2.0, p), n=n, replicates=6, seed=2,
+                                        block_rule=FixedBlocks(2), targets=subset[::-1])
+            reported = [r.kind for r in results]
+            assert sorted(reported + [s.kind for s in skipped]) == sorted(subset)
+            assert reported == [k for k in ALL_TARGETS if k in reported]
+            assert {s.kind for s in skipped} == \
+                {k for k in subset if p >= n and k.startswith("prec")}
 
 
 def test_empty_grid_writes_header_only(tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lrdcov.model as model
 from lrdcov import (CoefficientSpec, NotInvertibleError, OutOfRegimeError,
                     TruncationExceededError, autocovariance,
                     autocovariance_sequence, banded_spec, beta_tilde, coefficient,
@@ -119,6 +120,20 @@ def test_truncation_doubling_below_tail_bound():
     shift = np.abs(autocovariance(long, 0) - autocovariance(short, 0)).max()
     assert shift < gamma_tail_bound(short)
     assert shift > 0
+
+
+@pytest.mark.parametrize("beta", [0.55, 0.9, 1.2, 2.0])
+def test_fft_lag_sums_match_the_loop(monkeypatch, beta):
+    # FFT rounding is a fraction of the largest sum g_0; elementwise, the beta 2
+    # tail (g_777 about 1e-6 g_0) agrees only to about 1e-11.
+    for T, max_lag in ((777, 3), (777, 777), (10_000, 100), (100_000, 777)):
+        assert (T + 1) * (max_lag + 1) <= model._FFT_WORK_THRESHOLD  # default: the loop
+        spec = toeplitz_spec(beta, 1, truncation=T)
+        loop = model._lag_sums(spec, max_lag)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_FFT_WORK_THRESHOLD", 0)
+            fft = model._lag_sums(spec, max_lag)
+        np.testing.assert_allclose(fft, loop, rtol=0, atol=1e-12 * loop[0])
 
 
 # --- precision ----------------------------------------------------------------

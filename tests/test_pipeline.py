@@ -107,6 +107,19 @@ def test_ingest_rejects_digit_separators(tmp_path):
     assert info.value.__cause__ is not None
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_ingest_names_cells_that_float_takes_but_numpy_rejects(tmp_path, cell):
+    path = tmp_path / "digits.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(ValueError, match=f"row 3, column 'b': non-numeric field '{cell}'"):
+        ingest(path)
+
+
+def test_ingest_rejects_overflowing_squares(huge_csv):
+    with pytest.raises(ValueError, match=r"huge\.csv: column 'b'.*not finite"):
+        ingest(huge_csv)
+
+
 def test_ingest_rejects_consistent_wrong_width(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("a,b\n1,2,3\n4,5,6\n")
