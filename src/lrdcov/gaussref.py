@@ -14,9 +14,8 @@ _EIG_TOL = 1e-8  # negative eigenvalues clipped to zero, relative to lambda_max
 
 @dataclass(frozen=True)
 class GaussianReference:
-    """PSD covariance with a factor such that factor @ factor.T = cov."""
+    """Factor of a PSD covariance: factor @ factor.T = cov."""
 
-    cov: np.ndarray
     factor: np.ndarray
 
 
@@ -61,7 +60,7 @@ def build_reference(cov: np.ndarray) -> GaussianReference:
             f"covariance is indefinite (eigenvalue {eigvals[0]:.3e} "
             f"vs maximum {lam_max:.3e})")
     factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return GaussianReference(cov, factor)
+    return GaussianReference(factor)
 
 
 def sample_max_abs(ref: GaussianReference | MatrixReference, reps: int,

@@ -167,7 +167,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                           copies_requested=replicates)
     X = simulate_multidimensional(plan).data
     est = sample_covariance(X)
-    truth = process_truth(spec, lags=min(2, spec.truncation))
+    truth = process_truth(spec, lags=0)
     samples = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
 
     prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]

@@ -19,6 +19,8 @@ def _sorted(sample, name: str) -> np.ndarray:
     arr = np.sort(np.asarray(sample, dtype=float).ravel())
     if arr.size == 0:
         raise ValueError(f"{name} sample is empty")
+    if not np.isfinite(arr[[0, -1]]).all():  # sorting puts nan and +-inf at the ends
+        raise ValueError(f"{name} sample has non-finite values")
     return arr
 
 

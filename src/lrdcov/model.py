@@ -37,8 +37,9 @@ CUSTOM = "custom"
 _DEFAULT_TRUNCATION_SCALAR = 10**6
 _DEFAULT_TRUNCATION_MATRIX = 10**4
 
-# Above this many multiply-adds the scalar lag sums switch to FFT correlation.
+# Above this many multiply-adds every lag sum (scalar or matrix) is one FFT.
 _FFT_WORK_THRESHOLD = 2 * 10**8
+_CONDITION1_LAGS = 200  # lags a custom spec's condition-1 constant scans
 # Largest |Omega Sigma - I|_inf accepted from the analytic inverse (eigenvalue floor 0).
 _TRUTH_RESIDUAL_TOL = 1e-10
 # Default dense-assembly cap: the largest p whose reference fits in physical memory
@@ -133,18 +134,27 @@ def coefficient(spec: CoefficientSpec, t: int) -> np.ndarray:
     return (t + 1.0) ** (-spec.beta) * template(spec)
 
 
+def _lag_products(stack: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_{t=0}^{H-k} a_t a_{t+k}^T for k = 0..max_lag over scalars a_0..a_H, shape
+    (H + 1,), or matrices, (H + 1, p, d).  Above _FFT_WORK_THRESHOLD multiply-adds,
+    one autocorrelation over nfft > H + max_lag points: no wrapped lag reaches max_lag.
+    """
+    H, (p, d) = len(stack) - 1, stack.shape[1:] or (1, 1)
+    if (H + 1) * p * p * d * (max_lag + 1) <= _FFT_WORK_THRESHOLD:
+        if stack.ndim == 1:
+            return np.array([stack[:H + 1 - k] @ stack[k:] for k in range(max_lag + 1)])
+        return np.stack([np.einsum("tpd,tqd->pq", stack[:H + 1 - k], stack[k:])
+                         for k in range(max_lag + 1)])
+    nfft = 1 << (H + max_lag).bit_length()
+    spectrum = np.fft.rfft(stack, nfft, axis=0)
+    spectrum = (np.abs(spectrum) ** 2 if stack.ndim == 1
+                else np.einsum("wpd,wqd->wpq", spectrum.conj(), spectrum))
+    return np.fft.irfft(spectrum, nfft, axis=0)[:max_lag + 1].copy()  # frees the padding
+
+
 def _lag_sums(spec: CoefficientSpec, max_lag: int) -> np.ndarray:
-    """g_k = sum_{t=0}^{truncation} c_t c_{t+k} for k = 0..max_lag."""
-    T = spec.truncation
-    c = decay_sequence(spec, T + 1 + max_lag)
-    head = c[:T + 1]
-    if (T + 1) * (max_lag + 1) <= _FFT_WORK_THRESHOLD:
-        return np.array([head @ c[k:k + T + 1] for k in range(max_lag + 1)])
-    # Cross-correlation via FFT: conv(head reversed, c)[T + k] = g_k.
-    nfft = 1 << int(math.ceil(math.log2(len(head) + len(c) - 1)))
-    spec_prod = np.fft.rfft(head[::-1], nfft) * np.fft.rfft(c, nfft)
-    conv = np.fft.irfft(spec_prod, nfft)
-    return conv[T:T + max_lag + 1]
+    """g_k = sum_{t=0}^{H-k} c_t c_{t+k} for k = 0..max_lag, H = spec.truncation."""
+    return _lag_products(decay_sequence(spec, spec.truncation + 1), max_lag)
 
 
 def _custom_coeff_stack(spec: CoefficientSpec, count: int) -> np.ndarray:
@@ -155,7 +165,8 @@ def _custom_coeff_stack(spec: CoefficientSpec, count: int) -> np.ndarray:
 
 
 def autocovariance(spec: CoefficientSpec, k: int) -> np.ndarray:
-    """Gamma_k = sum_{t=0}^{truncation} A_t A_{t+|k|}^T, with Gamma_{-k} = Gamma_k^T."""
+    """Gamma_k = sum_{t=0}^{H-|k|} A_t A_{t+|k|}^T = Gamma_{-k}^T: the autocovariance of
+    the process truncated at H = spec.truncation, the one the simulator draws."""
     gam = autocovariance_sequence(spec, abs(k))[abs(k)]
     return gam if k >= 0 else gam.T
 
@@ -169,11 +180,7 @@ def autocovariance_sequence(spec: CoefficientSpec, max_lag: int) -> np.ndarray:
         mat = template(spec)
         base = mat @ mat.T
         return _lag_sums(spec, max_lag)[:, None, None] * base[None, :, :]
-    stack = _custom_coeff_stack(spec, spec.truncation + 1 + max_lag)
-    head = stack[:spec.truncation + 1]
-    return np.stack([np.einsum("tpd,tqd->pq", head,
-                               stack[k:k + spec.truncation + 1])
-                     for k in range(max_lag + 1)])
+    return _lag_products(_custom_coeff_stack(spec, spec.truncation + 1), max_lag)
 
 
 def beta_tilde(beta: float) -> float:
@@ -189,7 +196,6 @@ class ProcessTruth:
     gamma: np.ndarray            # (lags + 1, p, p)
     sigma: np.ndarray            # p x p, equals gamma[0]
     omega: Optional[np.ndarray]  # p x p inverse, None if sigma is singular
-    beta_tilde: float
 
     @property
     def lags(self) -> int:
@@ -206,7 +212,7 @@ def process_truth(spec: CoefficientSpec, lags: Optional[int] = None) -> ProcessT
         omega = _spd_inverse(sigma, 0.0, _TRUTH_RESIDUAL_TOL)
     except NotInvertibleError:
         omega = None
-    return ProcessTruth(spec, gamma, sigma, omega, beta_tilde(spec.beta))
+    return ProcessTruth(spec, gamma, sigma, omega)
 
 
 def true_precision(truth: ProcessTruth) -> np.ndarray:
@@ -222,15 +228,6 @@ def _pair_product(gam: np.ndarray) -> np.ndarray:
     p = gam.shape[0]
     out = np.einsum("ik,jl->ijkl", gam, gam) + np.einsum("il,jk->ijkl", gam, gam)
     return out.transpose(1, 0, 3, 2).reshape(p * p, p * p)
-
-
-def _truncated_gammas(spec: CoefficientSpec) -> np.ndarray:
-    """Lag-k autocovariances of the process truncated at H = spec.truncation:
-    sum_{t=0}^{H-k} A_t A_{t+k}^T for k = 0..H, shape (H + 1, p, p)."""
-    H = spec.truncation
-    stack = _custom_coeff_stack(spec, H + 1)
-    return np.stack([np.einsum("tpd,tqd->pq", stack[:H + 1 - k], stack[k:])
-                     for k in range(H + 1)])
 
 
 def _long_run_factor(spec: CoefficientSpec) -> float:
@@ -252,16 +249,13 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
     if p > p_cap:
         raise DimensionTooLargeError(
             f"p = {p} exceeds cap {p_cap} for dense p^2 x p^2 assembly")
+    if n is not None and n < 1:
+        raise ValueError("n must be positive")
     spec = truth.spec
-    if n is None:
-        max_lag, weights = spec.truncation, None
-    else:
-        if n < 1:
-            raise ValueError("n must be positive")
-        max_lag = min(n - 1, spec.truncation)
-        weights = (n - np.arange(max_lag + 1, dtype=float)) / n
+    max_lag = spec.truncation if n is None else min(n - 1, spec.truncation)
+    weights = np.ones(max_lag + 1) if n is None else (n - np.arange(max_lag + 1.0)) / n
     if spec.separable:
-        if weights is None:
+        if n is None:
             factor = _long_run_factor(spec)
         else:
             g = _lag_sums(spec, max_lag)
@@ -271,12 +265,8 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
         if transform is not None:
             base = transform @ base @ transform
         return factor * _pair_product(base)
-    if weights is None:
-        gammas, weights = _truncated_gammas(spec), np.ones(max_lag + 1)
-    elif truth.lags >= max_lag:
-        gammas = truth.gamma[:max_lag + 1]
-    else:
-        gammas = autocovariance_sequence(spec, max_lag)
+    gammas = (truth.gamma[:max_lag + 1] if truth.lags >= max_lag
+              else autocovariance_sequence(spec, max_lag))
     if transform is not None:
         gammas = transform @ gammas @ transform
     total = weights[0] * _pair_product(gammas[0])
@@ -296,10 +286,7 @@ def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int],
     with G_k the lag-k autocovariance of :func:`autocovariance`.
 
     With n=None it is the long-run covariance: the same pair product summed
-    unweighted over every lag |k| <= H of the process truncated at
-    H = spec.truncation, whose lag sums are G_k = sum_{t=0}^{H-k} A_t A_{t+k}^T.
-    Those stop at t <= H - k, unlike :func:`autocovariance`, which sums
-    t = 0..H and so reaches coefficients up to lag H + k.  For separable specs
+    unweighted over every lag |k| <= H = spec.truncation.  For separable specs
     the scalar factor is sum_{|k|<=H} g_k^2, computed by Parseval from one FFT.
     """
     return _long_run_covariance(truth, n, None, p_cap)
@@ -344,16 +331,14 @@ def theoretical_rates(beta: float, n: int, p: int, epsilon: float) -> dict:
     return {"psi": psi, "psi_B": psi_b, "phi": phi, "psi_exp": psi_exp}
 
 
-def condition1_constant(spec: CoefficientSpec, t_max: int = 200) -> float:
-    """Smallest C with max_j |(A_t)_{j.}|_2 <= C (1 v t)^-beta over t <= t_max."""
+def condition1_constant(spec: CoefficientSpec) -> float:
+    """Smallest C with max_j |(A_t)_{j.}|_2 <= C (1 v t)^-beta over scanned lags t."""
     if spec.separable:
         mat = template(spec)
         return float(np.sqrt((mat ** 2).sum(axis=1)).max())
-    best = 0.0
-    for t in range(min(t_max, spec.truncation) + 1):
-        row_norm = np.sqrt((coefficient(spec, t) ** 2).sum(axis=1)).max()
-        best = max(best, float(row_norm) * max(1, t) ** spec.beta)
-    return best
+    stack = _custom_coeff_stack(spec, min(_CONDITION1_LAGS, spec.truncation) + 1)
+    decay = np.maximum(1, np.arange(len(stack))) ** spec.beta
+    return float((np.sqrt((stack ** 2).sum(axis=2)).max(axis=1) * decay).max())
 
 
 def condition2_partial(truth: ProcessTruth) -> np.ndarray:
@@ -365,10 +350,8 @@ def condition2_partial(truth: ProcessTruth) -> np.ndarray:
     """
     gam = truth.gamma
     diag = np.einsum("kss->ks", gam)
-    total = diag[0][:, None] * diag[0][None, :] + gam[0] * gam[0].T
-    for k in range(1, gam.shape[0]):
-        total += 2.0 * (diag[k][:, None] * diag[k][None, :] + gam[k] * gam[k].T)
-    return total
+    terms = diag[:, :, None] * diag[:, None, :] + gam * gam.swapaxes(1, 2)
+    return terms[0] + 2.0 * terms[1:].sum(axis=0)
 
 
 def gamma_tail_bound(spec: CoefficientSpec) -> float:

@@ -143,9 +143,11 @@ def load_batch(path) -> SampleBatch:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a sample-batch file (magic {magic!r})")
-        n, p, copies, seed = struct.unpack("<QQQQ", fh.read(32))
-        raw = np.frombuffer(fh.read(copies * n * p * 8), dtype="<f8")
-    if raw.size != copies * n * p:
+        header = fh.read(32)
+        if len(header) == 32:
+            n, p, copies, seed = struct.unpack("<QQQQ", header)
+            body = fh.read(copies * n * p * 8)
+    if len(header) < 32 or len(body) < copies * n * p * 8:
         raise ValueError("sample-batch file is truncated")
-    data = raw.reshape(copies, n, p).astype(float)
+    data = np.frombuffer(body, dtype="<f8").reshape(copies, n, p).astype(float)
     return SampleBatch(data, int(seed), derivation=f"loaded from {path}")

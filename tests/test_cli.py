@@ -32,6 +32,17 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert (report["n1"], report["n2"]) == (3, 3)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_metrics_subcommand_rejects_non_finite_values(tmp_path, capsys, bad):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(f"1.0\n{bad}\n3.0\n")
+    b.write_text("2.0\n3.0\n4.0\n")
+    with pytest.raises(ValueError, match="first sample has non-finite"):
+        main(["metrics", "--a", str(a), "--b", str(b)])
+    assert capsys.readouterr().out == ""
+
+
 def test_bootstrap_ci_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(3)
     data = rng.standard_normal((200, 3))

@@ -81,6 +81,25 @@ def test_cell_centres_on_the_simulated_horizon():
            [(r.kind, r.ks, r.w1) for r in horizon]
 
 
+def test_custom_cell_reads_its_callback_only_up_to_the_horizon():
+    # n 100, 100 copies: N = 10^4, so the declared truncation 10^6 is capped at
+    # 9999 lags and the autocovariances take the matrix FFT branch
+    horizon = 100 * 100 - 1
+    mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
+
+    def coeff(t):
+        if t > horizon:
+            raise AssertionError(f"callback read at lag {t} > horizon {horizon}")
+        return (t + 1.0) ** -2.0 * mix
+
+    spec = custom_spec(coeff, beta=2.0, p=3, d=3, truncation=10**6)
+    results, skipped = run_cell(spec, n=100, replicates=100, seed=1,
+                                block_rule=FixedBlocks(10))
+    assert not skipped
+    assert [r.kind for r in results] == list(ALL_TARGETS)
+    assert all(0.0 <= r.ks < 0.5 for r in results)
+
+
 def test_precision_skipped_when_p_not_below_n():
     spec = toeplitz_spec(2.0, 12, truncation=500)
     results, skipped = run_cell(spec, n=10, replicates=5, seed=1,

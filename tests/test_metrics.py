@@ -135,3 +135,16 @@ def test_distance_report_fields():
     assert report.n1 == 2 and report.n2 == 3
     assert report.kolmogorov == pytest.approx(1 / 3)
     assert report.kolmogorov == 0.0 or report.kolmogorov > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(bad):
+    for first, second, name in (([1.0, bad], [1.0, 2.0], "first"),
+                                ([1.0, 2.0], [bad, 3.0, 1.0], "second")):
+        for distance in (kolmogorov_distance, wasserstein1, distance_report):
+            with pytest.raises(ValueError, match=f"{name} sample has non-finite"):
+                distance(first, second)
+    with pytest.raises(ValueError, match="non-finite"):
+        ecdf_points([0.5, bad, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        qq_pairs([0.5, 1.0, 2.0], [bad, 1.0], 3)

@@ -136,6 +136,35 @@ def test_fft_lag_sums_match_the_loop(monkeypatch, beta):
         np.testing.assert_allclose(fft, loop, rtol=0, atol=1e-12 * loop[0])
 
 
+def asymmetric_custom_spec(beta, truncation):
+    """p 2, d 3: A_t = (t+1)^-beta (C + t/(t+2) I_{2x3}), no symmetry in A_t or Gamma_k."""
+    base = np.array([[1.0, 0.4, -0.3], [-0.6, 0.2, 0.9]])
+    return custom_spec(lambda t: (t + 1.0) ** -beta * (base + t / (t + 2.0) * np.eye(2, 3)),
+                       beta=beta, p=2, d=3, truncation=truncation)
+
+
+@pytest.mark.parametrize("beta", [0.55, 0.9, 2.0])
+def test_matrix_fft_lag_products_match_the_loop(monkeypatch, beta):
+    for T, max_lag in ((12, 12), (300, 300), (2000, 50)):
+        spec = asymmetric_custom_spec(beta, T)
+        assert (T + 1) * 2 * 2 * 3 * (max_lag + 1) <= model._FFT_WORK_THRESHOLD
+        loop = autocovariance_sequence(spec, max_lag)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_FFT_WORK_THRESHOLD", 0)
+            fft = autocovariance_sequence(spec, max_lag)
+        np.testing.assert_allclose(fft, loop, rtol=0, atol=1e-12 * np.abs(loop[0]).max())
+
+
+@pytest.mark.parametrize("beta", [0.55, 0.9, 2.0])
+@pytest.mark.parametrize("T", [40, 10_000, 100_000])
+def test_long_run_factor_is_the_sum_of_squared_lag_sums(beta, T):
+    # T 1e5 takes the FFT branch of the lag sums, the others the loop
+    spec = toeplitz_spec(beta, 1, truncation=T)
+    g = model._lag_sums(spec, T)
+    assert model._long_run_factor(spec) == pytest.approx(
+        g[0] ** 2 + 2.0 * (g[1:] ** 2).sum(), rel=1e-12)
+
+
 # --- precision ----------------------------------------------------------------
 
 def test_true_precision_identity(iid_spec_p2):
@@ -198,6 +227,51 @@ def truncated_gamma(spec, k):
     gam = sum(coefficient(spec, t) @ coefficient(spec, t + kk).T
               for t in range(H + 1 - kk))
     return gam if k >= 0 else gam.T
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: toeplitz_spec(0.55, 3, truncation=12),
+    lambda: banded_spec(0.55, 4, bandwidth=1, truncation=12),
+    lambda: asymmetric_custom_spec(0.55, 12),
+], ids=["toeplitz", "banded", "custom"])
+def test_autocovariance_sequence_is_the_truncated_sum(make_spec):
+    spec = make_spec()
+    seq = autocovariance_sequence(spec, spec.truncation)
+    scale = np.abs(seq[0]).max()
+    for k in range(spec.truncation + 1):
+        np.testing.assert_allclose(seq[k], truncated_gamma(spec, k), rtol=0,
+                                   atol=1e-12 * scale)
+
+
+def test_custom_callback_is_read_only_up_to_the_truncation():
+    H = 12
+
+    def coeff(t):
+        if t > H:
+            raise AssertionError(f"callback read at lag {t} > truncation {H}")
+        return (t + 1.0) ** -0.55 * np.array([[1.0, 0.2], [-0.3, 0.9]])
+
+    spec = custom_spec(coeff, beta=0.55, p=2, d=2, truncation=H)
+    np.testing.assert_allclose(autocovariance(spec, -H), truncated_gamma(spec, -H),
+                               rtol=1e-14)
+    truth = process_truth(spec)
+    assert truth.gamma.shape == (H + 1, 2, 2)
+    for n in (5, 50, None):
+        assert np.all(np.isfinite(gaussian_long_run_covariance(truth, n)))
+        assert np.all(np.isfinite(omega_transformed_long_run(truth, n)))
+    assert condition1_constant(spec) > 0 and gamma_tail_bound(spec) > 0
+
+
+def test_condition1_constant_custom_scans_lags_up_to_200():
+    def coeff(t):
+        return (t + 1.0) ** -1.5 * np.array([[1.0, 0.5], [2.0, 0.0]]) * (1 + (t == 150))
+
+    expected = max(float(np.sqrt((coeff(t) ** 2).sum(axis=1)).max()) * max(1, t) ** 1.5
+                   for t in range(201))
+    spec = custom_spec(coeff, beta=1.5, p=2, d=2, truncation=10_000)
+    assert condition1_constant(spec) == pytest.approx(expected, rel=1e-12)
+    short = custom_spec(coeff, beta=1.5, p=2, d=2, truncation=100)
+    assert condition1_constant(short) < expected
 
 
 def direct_long_run(spec, transform=None):
@@ -396,6 +470,18 @@ def test_condition2_partial_positive():
     truth = process_truth(toeplitz_spec(2.0, 3, truncation=2000), lags=50)
     partial = condition2_partial(truth)
     assert partial.min() > 0.1
+
+
+def test_condition2_partial_matches_the_lag_loop():
+    truth = process_truth(asymmetric_custom_spec(0.9, 40), lags=30)
+    gam = truth.gamma
+    oracle = np.zeros((2, 2))
+    for k in range(gam.shape[0]):
+        for s in range(2):
+            for t in range(2):
+                oracle[s, t] += (1 if k == 0 else 2) * (
+                    gam[k, s, s] * gam[k, t, t] + gam[k, s, t] * gam[k, t, s])
+    np.testing.assert_allclose(condition2_partial(truth), oracle, rtol=1e-13)
 
 
 def test_spec_validation_errors():

@@ -225,3 +225,16 @@ def test_binary_dump_round_trip(tmp_path):
     loaded = load_batch(path)
     assert loaded.master_seed == 21
     assert np.array_equal(loaded.data, batch.data)
+
+
+@pytest.mark.parametrize("cut", [7, 20, 39 + 96, 39 + 100])
+def test_truncated_dump_rejected(tmp_path, cut):
+    # cut right after the magic, inside the 32-byte header, or inside the body
+    spec = toeplitz_spec(2.0, 3, truncation=1000)
+    batch = simulate_multidimensional(SimulationPlan(spec, n=16, seed=21, N=256,
+                                                     copies_requested=4))
+    path = tmp_path / "batch.lrdsim"
+    save_batch(batch, path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="sample-batch file is truncated"):
+        load_batch(path)
