@@ -18,6 +18,7 @@ import numpy as np
 
 from .bootstrap import (confidence_region, covariance_blocks, precision_blocks,
                         quantile, resolve_block_length)
+from .errors import LrdcovError
 from .estimate import sample_covariance, sample_precision
 from .harness import ExperimentConfig, parse_block_rule, parse_structure, run_grid
 from .metrics import distance_report
@@ -133,5 +134,13 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> None:
+    """Console entry point: main(), with input errors as one stderr line, status 1."""
+    try:
+        sys.exit(main(argv))
+    except (LrdcovError, ValueError, OSError) as exc:
+        sys.exit(f"lrdcov: error: {exc}")
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,7 +9,7 @@ import numpy as np
 
 _CHUNK_ELEMENTS = 2**24
 _SYM_TOL = 1e-8  # asymmetry allowed, relative to max(1, |cov|_inf)
-_EIG_TOL = 1e-8  # negative eigenvalues clipped to zero, relative to lambda_max
+_EIG_TOL = 1e-8  # negative eigenvalues down to this, relative to lambda_max, count as zero
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,13 @@ class MatrixReference:
 
 
 def build_reference(cov: np.ndarray) -> GaussianReference:
-    """Factor a PSD covariance through its symmetric eigendecomposition.
+    """Factor a PSD covariance as its symmetric square root Q Lambda^1/2 Q^T, whose
+    draws, unlike Q's, do not depend on the eigenbasis eigh returns.
 
-    Eigenvalues in [-_EIG_TOL * lambda_max, 0) are clipped to zero (duplicated
-    symmetric coordinates make exact rank deficiency routine); anything more
-    negative means the input is genuinely indefinite.  Cholesky is avoided on
-    purpose since it fails on semidefinite input.
+    Eigenvalues up to dim * eps * lambda_max count as zero (numpy's matrix_rank
+    rule; duplicated symmetric coordinates make rank deficiency routine); below
+    -_EIG_TOL * lambda_max the input is genuinely indefinite.  Cholesky is
+    avoided on purpose since it fails on semidefinite input.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -59,8 +60,8 @@ def build_reference(cov: np.ndarray) -> GaussianReference:
         raise ValueError(
             f"covariance is indefinite (eigenvalue {eigvals[0]:.3e} "
             f"vs maximum {lam_max:.3e})")
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return GaussianReference(factor)
+    keep = eigvals > len(eigvals) * np.finfo(float).eps * lam_max
+    return GaussianReference((eigvecs[:, keep] * np.sqrt(eigvals[keep])) @ eigvecs[:, keep].T)
 
 
 def sample_max_abs(ref: GaussianReference | MatrixReference, reps: int,

@@ -220,16 +220,6 @@ def true_precision(truth: ProcessTruth) -> np.ndarray:
     return _spd_inverse(truth.sigma, 0.0, _TRUTH_RESIDUAL_TOL)
 
 
-def _pair_product(gam: np.ndarray) -> np.ndarray:
-    """Entry ((s1,t1),(s2,t2)) = G_{s1 s2} G_{t1 t2} + G_{s1 t2} G_{t1 s2}.
-
-    Composite indices stack column-major: (s, t) -> s + p * t (0-based).
-    """
-    p = gam.shape[0]
-    out = np.einsum("ik,jl->ijkl", gam, gam) + np.einsum("il,jk->ijkl", gam, gam)
-    return out.transpose(1, 0, 3, 2).reshape(p * p, p * p)
-
-
 def _long_run_factor(spec: CoefficientSpec) -> float:
     """sum_{|k|<=H} g_k^2 with g_k = sum_{t=0}^{H-k} c_t c_{t+k}, H = spec.truncation.
 
@@ -244,11 +234,11 @@ def _long_run_factor(spec: CoefficientSpec) -> float:
 
 
 def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
-                         transform: Optional[np.ndarray], p_cap: int) -> np.ndarray:
+                         transform: Optional[np.ndarray]) -> np.ndarray:
     p = truth.sigma.shape[0]
-    if p > p_cap:
+    if p > P_CAP:
         raise DimensionTooLargeError(
-            f"p = {p} exceeds cap {p_cap} for dense p^2 x p^2 assembly")
+            f"p = {p} exceeds cap {P_CAP} for dense p^2 x p^2 assembly")
     if n is not None and n < 1:
         raise ValueError("n must be positive")
     spec = truth.spec
@@ -260,23 +250,23 @@ def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
         else:
             g = _lag_sums(spec, max_lag)
             factor = g[0] ** 2 + 2.0 * (weights[1:] * g[1:] ** 2).sum()
-        base = template(spec)
-        base = base @ base.T
-        if transform is not None:
-            base = transform @ base @ transform
-        return factor * _pair_product(base)
-    gammas = (truth.gamma[:max_lag + 1] if truth.lags >= max_lag
-              else autocovariance_sequence(spec, max_lag))
+        mat = template(spec)
+        gammas, weights = (mat @ mat.T)[None], np.array([factor])
+    else:
+        gammas = (truth.gamma[:max_lag + 1] if truth.lags >= max_lag
+                  else autocovariance_sequence(spec, max_lag))
     if transform is not None:
         gammas = transform @ gammas @ transform
-    total = weights[0] * _pair_product(gammas[0])
-    for k in range(1, max_lag + 1):
-        total += weights[k] * (_pair_product(gammas[k]) + _pair_product(gammas[k].T))
-    return total
+    # V = P + P^T for P = sum_k w'_k pair(G_k), w'_0 = w_0 / 2, as pair(G^T) = pair(G)^T
+    # with pair(G)_{(s1,t1),(s2,t2)} = G_s1s2 G_t1t2 + G_s1t2 G_t1s2.  pair is bilinear, so P
+    # permutes one Gram D_abcd = sum_k w'_k (G_k)_ab (G_k)_cd, laid out (t1, s1, t2, s2).
+    weights[0] /= 2.0
+    gram = np.tensordot(weights[:, None, None] * gammas, gammas, (0, 0))
+    half = (gram.transpose(2, 0, 3, 1) + gram.transpose(2, 0, 1, 3)).reshape(p * p, p * p)
+    return half + half.T
 
 
-def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int],
-                                 p_cap: int = P_CAP) -> np.ndarray:
+def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int]) -> np.ndarray:
     """Covariance of the Gaussian reference for the covariance error.
 
     With an integer n this is the finite-n covariance: entry ((s1,t1),(s2,t2))
@@ -286,14 +276,14 @@ def gaussian_long_run_covariance(truth: ProcessTruth, n: Optional[int],
     with G_k the lag-k autocovariance of :func:`autocovariance`.
 
     With n=None it is the long-run covariance: the same pair product summed
-    unweighted over every lag |k| <= H = spec.truncation.  For separable specs
-    the scalar factor is sum_{|k|<=H} g_k^2, computed by Parseval from one FFT.
+    unweighted over every lag |k| <= H = spec.truncation.  Both are the axis
+    permutations of one weighted Gram matrix of vec(G_0), vec(G_1), ...; for
+    separable specs the one term M M^T weighted by sum_{|k|<=H} w_k g_k^2.
     """
-    return _long_run_covariance(truth, n, None, p_cap)
+    return _long_run_covariance(truth, n, None)
 
 
-def omega_transformed_long_run(truth: ProcessTruth, n: Optional[int],
-                               p_cap: int = P_CAP) -> np.ndarray:
+def omega_transformed_long_run(truth: ProcessTruth, n: Optional[int]) -> np.ndarray:
     """Same closed form with every G_k replaced by Omega G_k Omega.
 
     An integer n gives the finite-n covariance and n=None the long-run
@@ -302,7 +292,7 @@ def omega_transformed_long_run(truth: ProcessTruth, n: Optional[int],
     """
     if truth.omega is None:
         raise NotInvertibleError("process truth carries no precision matrix")
-    return _long_run_covariance(truth, n, truth.omega, p_cap)
+    return _long_run_covariance(truth, n, truth.omega)
 
 
 def theoretical_rates(beta: float, n: int, p: int, epsilon: float) -> dict:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrdcov
 from lrdcov import load_batch
 from lrdcov.cli import main
 
@@ -93,3 +98,29 @@ def test_experiment_rejects_unknown_keys(tmp_path):
                                     "bogus": 1}))
     with pytest.raises(ValueError, match="bogus"):
         main(["experiment", "--config", str(cfg_path)])
+
+
+def run_console(*args):
+    """The module entry point in a subprocess, as the console script runs it."""
+    src = str(Path(lrdcov.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lrdcov.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_console_reports_a_bad_sample_file_in_one_line(tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1.0\nnan\n3.0\n")
+    b.write_text("2.0\n3.0\n4.0\n")
+    done = run_console("metrics", "--a", a, "--b", b)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "lrdcov: error: first sample has non-finite values\n"
+
+
+def test_console_reports_a_bad_table_in_one_line(huge_csv):
+    done = run_console("bootstrap-ci", "--data", huge_csv)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("lrdcov: error: ") and "column 'b'" in done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr

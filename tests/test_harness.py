@@ -335,3 +335,35 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                             for path in sorted(outdir.rglob("*.csv"))}
     assert len(outputs["1"]) == 2 * (1 + 2 * 5)  # per grid: results, per cell 4 QQ + 1 ECDF
     assert outputs["1"] == outputs["2"]
+
+
+CUSTOM_CELL_SCRIPT = """
+import sys
+from lrdcov import FixedBlocks, custom_spec, run_cell
+from lrdcov.model import template, toeplitz_spec
+M = template(toeplitz_spec(2.0, 30))
+spec = custom_spec(lambda t: (t + 1.0) ** -2 * M, beta=2.0, p=30, d=30, truncation=3)
+results, _ = run_cell(spec, n=100, replicates=100, seed=17, block_rule=FixedBlocks(10),
+                      output_dir=sys.argv[1])
+for r in results:
+    print(f"{r.kind},{r.ks:.6g},{r.w1:.6g}")
+"""
+
+
+def test_custom_cell_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the assembled 900 x 900 reference has repeated eigenvalues, so its eigh basis
+    # varies with the thread count; the symmetric root built from it does not
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs, scores = {}, {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outdir = tmp_path / f"threads{threads}"
+        scores[threads] = subprocess.run(
+            [sys.executable, "-c", CUSTOM_CELL_SCRIPT, str(outdir)], env=env,
+            check=True, timeout=300, capture_output=True, text=True).stdout
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+    assert len(outputs["1"]) == 1 + 4  # ECDF + one QQ per target
+    assert scores["1"].count("\n") == 4
+    assert scores["1"] == scores["2"]
+    assert outputs["1"] == outputs["2"]

@@ -274,19 +274,22 @@ def test_condition1_constant_custom_scans_lags_up_to_200():
     assert condition1_constant(short) < expected
 
 
-def direct_long_run(spec, transform=None):
-    """Unweighted sum over |k| <= H of the pair product, entry by entry."""
+def direct_long_run(spec, transform=None, n=None):
+    """Sum over |k| <= H of the pair product, entry by entry: unweighted, or for an
+    integer n with Fejer weights (n - |k|) / n over |k| <= min(n - 1, H)."""
     p = spec.p
+    K = spec.truncation if n is None else min(n - 1, spec.truncation)
     total = np.zeros((p * p, p * p))
-    for k in range(-spec.truncation, spec.truncation + 1):
+    for k in range(-K, K + 1):
         gam = truncated_gamma(spec, k)
+        weight = 1.0 if n is None else (n - abs(k)) / n
         if transform is not None:
             gam = transform @ gam @ transform
         for s1 in range(p):
             for t1 in range(p):
                 for s2 in range(p):
                     for t2 in range(p):
-                        total[s1 + p * t1, s2 + p * t2] += (
+                        total[s1 + p * t1, s2 + p * t2] += weight * (
                             gam[s1, s2] * gam[t1, t2] + gam[s1, t2] * gam[t1, s2])
     return total
 
@@ -306,6 +309,23 @@ def test_long_run_unweighted_direct_oracle(make_spec):
     oracle = direct_long_run(spec, true_precision(truth))
     assert np.allclose(transformed, oracle, rtol=1e-12,
                        atol=1e-12 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("n", [None, 7])
+@pytest.mark.parametrize("make_spec", [
+    lambda: custom_spec(lambda t: (t + 1.0) ** -0.7 * np.array([[1.0, 0.3], [-0.2, 0.8]]),
+                        beta=0.7, p=2, d=2, truncation=15),
+    lambda: asymmetric_custom_spec(0.7, 15),
+], ids=["asymmetric", "p2_d3"])
+def test_long_run_fejer_direct_oracle(make_spec, n):
+    spec = make_spec()
+    truth = process_truth(spec, lags=2)
+    oracle = direct_long_run(spec, n=n)
+    np.testing.assert_allclose(gaussian_long_run_covariance(truth, n), oracle,
+                               rtol=1e-12, atol=0.0)
+    oracle = direct_long_run(spec, true_precision(truth), n)
+    np.testing.assert_allclose(omega_transformed_long_run(truth, n), oracle, rtol=1e-12,
+                               atol=1e-12 * np.abs(oracle).max())
 
 
 def test_long_run_iid_p2_hand_enumeration(iid_spec_p2):
@@ -331,11 +351,12 @@ def test_long_run_symmetric_psd_small_instances():
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8 * cov.diagonal().max()
 
 
-def test_long_run_dimension_cap():
+def test_long_run_dimension_cap(monkeypatch):
     from lrdcov import DimensionTooLargeError
+    monkeypatch.setattr(model, "P_CAP", 3)
     truth = process_truth(toeplitz_spec(2.0, 4, truncation=100), lags=2)
     with pytest.raises(DimensionTooLargeError):
-        gaussian_long_run_covariance(truth, 10, p_cap=3)
+        gaussian_long_run_covariance(truth, 10)
 
 
 def test_default_dimension_cap_fits_memory_and_refuses_before_allocating():
