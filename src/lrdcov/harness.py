@@ -42,9 +42,9 @@ from .errors import LrdcovError
 from .estimate import max_deviation, sample_covariance, sample_precision
 from .gaussref import MatrixReference, build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
-from .model import (CoefficientSpec, _long_run_factor, banded_spec,
-                    gaussian_long_run_covariance, omega_transformed_long_run,
-                    process_truth, template, toeplitz_spec)
+from .model import (CoefficientSpec, _check_dense_cap, _long_run_factor,
+                    autocovariance_sequence, banded_spec, gaussian_long_run_covariance,
+                    omega_transformed_long_run, process_truth, template, toeplitz_spec)
 from .simulate import SimulationPlan, simulate_multidimensional
 
 COV_GA = "cov_ga"
@@ -68,6 +68,11 @@ class ExperimentConfig:
     targets: Sequence[str] = ALL_TARGETS
     seed: int = 0
     output_dir: str = "experiment-out"
+
+    def __post_init__(self):
+        unknown = [k for k in self.targets if k not in ALL_TARGETS]
+        if unknown:
+            raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")
 
 
 @dataclass(frozen=True)
@@ -120,19 +125,16 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
 
 
 def _write_qq(path: Path, approx, errors, q: int) -> None:
-    pairs = qq_pairs(approx, errors, q)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y\n")
-        for x, y in pairs:
-            fh.write(f"{x:.10g},{y:.10g}\n")
+    path.write_text("x,y\n" + "".join(f"{x:.10g},{y:.10g}\n"
+                                       for x, y in qq_pairs(approx, errors, q)),
+                    newline="\n")
 
 
 def _write_ecdf(path: Path, samples: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("value,statistic,F\n")
-        for label, sample in samples.items():
-            for value, level in ecdf_points(sample):
-                fh.write(f"{value:.10g},{label},{level:.10g}\n")
+    path.write_text("value,statistic,F\n" + "".join(
+        f"{value:.10g},{label},{level:.10g}\n"
+        for label, sample in samples.items() for value, level in ecdf_points(sample)),
+        newline="\n")
 
 
 def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
@@ -212,6 +214,13 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                     ref = MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat)
                                           if prec else mat, scale)
                 else:
+                    if truth.lags < spec.truncation:
+                        # both references read one Gamma_0..Gamma_H stack; sigma and
+                        # omega stay those of the lag-0 call (an FFT-built Gamma_0
+                        # differs in the last bits)
+                        _check_dense_cap(p)
+                        truth = replace(truth, gamma=autocovariance_sequence(
+                            spec, spec.truncation))
                     ref = build_reference(omega_transformed_long_run(truth, None) if prec
                                           else gaussian_long_run_covariance(truth, None))
                 approx = sample_max_abs(ref, replicates,
@@ -265,7 +274,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
             # whole-cell failure (memory budget, invalid plan, bad block
             # length, ...): mark every target as skipped and keep the grid going
             return [], [SkippedTarget(n, p, beta, kind, str(exc))
-                        for kind in config.targets]
+                        for kind in ALL_TARGETS if kind in config.targets]
 
     all_results: list[CellResult] = []
     all_skipped: list[SkippedTarget] = []

@@ -233,12 +233,16 @@ def _long_run_factor(spec: CoefficientSpec) -> float:
     return float((2.0 * quartic.sum() - quartic[0] - quartic[-1]) / L)
 
 
-def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
-                         transform: Optional[np.ndarray]) -> np.ndarray:
-    p = truth.sigma.shape[0]
+def _check_dense_cap(p: int) -> None:
     if p > P_CAP:
         raise DimensionTooLargeError(
             f"p = {p} exceeds cap {P_CAP} for dense p^2 x p^2 assembly")
+
+
+def _long_run_covariance(truth: ProcessTruth, n: Optional[int],
+                         transform: Optional[np.ndarray]) -> np.ndarray:
+    p = truth.sigma.shape[0]
+    _check_dense_cap(p)
     if n is not None and n < 1:
         raise ValueError("n must be positive")
     spec = truth.spec

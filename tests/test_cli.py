@@ -124,3 +124,16 @@ def test_console_reports_a_bad_table_in_one_line(huge_csv):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("lrdcov: error: ") and "column 'b'" in done.stderr
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_console_rejects_an_unknown_target_in_one_line(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"grid_n": [64], "grid_p": [2], "betas": [2.0],
+                                    "targets": ["cov_ga", "cov_bootstrap"],
+                                    "output_dir": str(tmp_path / "out")}))
+    done = run_console("experiment", "--config", cfg_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("lrdcov: error: unknown targets") \
+        and "cov_bootstrap" in done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lrdcov.estimate as estimate
 
 from lrdcov import (HighDimensionError, NearSingularError, SimulationPlan,
                     max_deviation, process_truth, sample_covariance,
@@ -161,3 +166,122 @@ def test_stack_with_one_singular_member_raises():
     assert err.value.smallest_eigenvalue < 1e-12 * np.abs(v).max() ** 2
     # the members before and after the singular one invert on their own
     sample_precision(EstimateResult(np.delete(stack, 3, axis=0), n=50))
+
+
+def spectral_stack(rng, copies, p, kappa, scale=1.0):
+    """copies x p x p symmetric matrices Q diag(lam) Q^T, lam log-spaced from scale
+    down to scale / kappa, each with its own random orthogonal Q."""
+    lam = scale * np.logspace(0.0, -np.log10(kappa), p)
+    Q = np.linalg.qr(rng.standard_normal((copies, p, p)))[0]
+    return (Q * lam) @ np.swapaxes(Q, -1, -2)
+
+
+def max_residual(omega, sigma):
+    return np.abs(omega @ sigma - np.eye(sigma.shape[-1])).max(axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 50), log_kappa=st.floats(0.0, 8.0), copies=st.integers(1, 4),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_spd_inverse_matches_the_eigh_oracle(p, log_kappa, copies, log_scale, seed):
+    stack = spectral_stack(np.random.default_rng(seed), copies, p, 10.0 ** log_kappa,
+                           10.0 ** log_scale)
+    tols = (estimate._REL_EIG_FLOOR, estimate._RESIDUAL_TOL)
+    try:
+        oracle = estimate._eigh_inverse(stack, *tols)
+    except NearSingularError:
+        oracle = None
+    if log_kappa <= 4.0:
+        # well conditioned: every copy is certified without an eigendecomposition
+        with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
+            omega = estimate._spd_inverse(stack, *tols)
+        rel = (np.abs(omega - oracle).max(axis=(-2, -1))
+               / np.abs(oracle).max(axis=(-2, -1)))
+        assert rel.max() <= 1e-10
+    else:
+        try:
+            omega = estimate._spd_inverse(stack, *tols)
+        except NearSingularError:
+            assert oracle is None  # rejects only what the eigh path rejects
+            return
+    assert np.array_equal(omega, np.swapaxes(omega, -1, -2))
+    assert max_residual(omega, stack).max() <= estimate._RESIDUAL_TOL
+    if oracle is not None:
+        assert max_residual(oracle, stack).max() <= estimate._RESIDUAL_TOL
+    for k in range(copies):
+        assert np.array_equal(omega[k], estimate._spd_inverse(stack[k], *tols))
+
+
+def raised(inverse, sigma, floor, tol):
+    with pytest.raises(NotInvertibleError) as err:
+        inverse(sigma, floor, tol)
+    return type(err.value), str(err.value), err.value.smallest_eigenvalue
+
+
+def indefinite(rng, p):
+    sigma = spectral_stack(rng, 1, p, 10.0)[0]
+    v = rng.standard_normal(p)
+    return sigma - 2.0 * np.outer(v, v) / (v @ v)  # along v: at most 1 - 2 < 0
+
+
+def below_floor(rng, p, floor):
+    # smallest eigenvalue 0.9 floor times the mean diagonal, so at most 0.9 times the
+    # floor on the largest diagonal entry
+    lam = np.linspace(1.0, 2.0, p)
+    lam[0] = 0.9 * floor * lam.mean()
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return (Q * lam) @ Q.T
+
+
+def rank_deficient(rng, p):
+    B = rng.standard_normal((p, p - 1))
+    return B @ B.T
+
+
+@pytest.mark.parametrize("case, floor, tol", [
+    ("rank_one", 1e-12, 1e-8),
+    ("indefinite", 1e-12, 1e-8),
+    ("below_floor", 1e-12, 1e-8),
+    ("below_floor", 1e-6, 1e-8),  # inverts within the tolerance: the floor alone rejects
+    ("residual", 1e-12, 1e-8),
+    ("rank_deficient", 0.0, 1e-10),
+    ("exactly_singular", 0.0, 1e-10),
+])
+@pytest.mark.parametrize("position", [0, 3, 5])
+def test_spd_inverse_raises_what_the_eigh_path_raises(case, floor, tol, position):
+    rng = np.random.default_rng(12)
+    p = 6
+    stack = random_spd_stack(rng, (6,), p)
+    if case == "rank_one":
+        v = rng.standard_normal(p)
+        stack[position] = np.outer(v, v)
+    elif case == "indefinite":
+        stack[position] = indefinite(rng, p)
+    elif case == "below_floor":
+        stack[position] = below_floor(rng, p, floor)
+    elif case == "residual":
+        stack[position] = spectral_stack(rng, 1, p, 1e11)[0]
+    elif case == "rank_deficient":
+        stack[position] = rank_deficient(rng, p)
+    else:
+        stack[position] = np.diag(np.arange(p, dtype=float))
+    expected = raised(estimate._eigh_inverse, stack, floor, tol)
+    assert raised(estimate._spd_inverse, stack, floor, tol) == expected
+    # the same copy fails on its own, and the rest of the stack inverts
+    assert raised(estimate._spd_inverse, stack[position], floor, tol) == expected
+    if case == "residual":
+        assert expected[1].startswith("inversion residual")
+    elif case in ("below_floor", "rank_one", "indefinite"):
+        assert expected[1].startswith("smallest eigenvalue")
+    estimate._spd_inverse(np.delete(stack, position, axis=0), floor, tol)
+
+
+def test_sample_precision_of_a_well_conditioned_stack_runs_no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(estimate.np.linalg, "eigh", refuse)
+    X = np.random.default_rng(13).standard_normal((100, 100, 30))  # the mc_wide shape
+    est = sample_covariance(X)
+    omegas = sample_precision(est)
+    assert max_residual(omegas, est.sigma_hat).max() <= estimate._RESIDUAL_TOL

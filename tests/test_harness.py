@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import lrdcov.harness as harness
-from lrdcov import (ExperimentConfig, FixedBlocks, custom_spec, run_cell, run_grid,
-                    toeplitz_spec)
+import lrdcov.model as model
+from lrdcov import (ExperimentConfig, FixedBlocks, custom_spec, qq_pairs, run_cell,
+                    run_grid, toeplitz_spec)
 from lrdcov import (EstimateResult, NearSingularError, SimulationPlan, process_truth,
                     sample_precision, simulate_multidimensional)
 from lrdcov.harness import ALL_TARGETS, parse_block_rule, parse_structure
@@ -206,6 +207,20 @@ def test_grid_survives_whole_cell_failure(tmp_path):
     assert len(skipped) == 3  # both targets of the dead cell
 
 
+def test_unknown_target_is_rejected_with_the_config(tmp_path):
+    with pytest.raises(ValueError, match="cov_bootstrap"):
+        small_config(tmp_path, targets=("cov_ga", "cov_bootstrap"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_whole_cell_failure_skips_each_target_once_in_order(tmp_path):
+    config = small_config(tmp_path, grid_n=[4], grid_p=[2], replicates=3,
+                          targets=("prec_boot", "cov_ga", "prec_boot", "cov_ga"))
+    assert run_grid(config) == []
+    skipped = (tmp_path / "out" / "skipped.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[3] for line in skipped] == ["cov_ga", "prec_boot"]
+
+
 def test_parse_structure_and_block_rule():
     build = parse_structure("banded:3")
     spec = build(2.0, 5, 100)
@@ -367,3 +382,68 @@ def test_custom_cell_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert scores["1"].count("\n") == 4
     assert scores["1"] == scores["2"]
     assert outputs["1"] == outputs["2"]
+
+
+def test_sidecar_writers_format(tmp_path):
+    harness._write_ecdf(tmp_path / "ecdf.csv", {"cov_error": np.array([2.0, 1.0, 2.0]),
+                                                "cov_ga": np.array([0.5])})
+    assert (tmp_path / "ecdf.csv").read_bytes() == (
+        b"value,statistic,F\n1,cov_error,0.3333333333\n2,cov_error,1\n0.5,cov_ga,1\n")
+    a, b = np.array([1.0, 2.0, 3.0]) / 7.0, np.array([4.0, 5.0, 6.0])
+    harness._write_qq(tmp_path / "qq.csv", a, b, 2)
+    assert (tmp_path / "qq.csv").read_text() == "x,y\n" + "".join(
+        f"{x:.10g},{y:.10g}\n" for x, y in qq_pairs(a, b, 2))
+
+
+def coupled_custom_spec():
+    mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
+    return custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=3, d=3,
+                       truncation=10**6)
+
+
+def count_lag_stacks(monkeypatch):
+    """Record the max_lag of every lag-product call."""
+    calls = []
+    original = model._lag_products
+
+    def counting(stack, max_lag):
+        calls.append(max_lag)
+        return original(stack, max_lag)
+
+    monkeypatch.setattr(model, "_lag_products", counting)
+    return calls
+
+
+def test_custom_cell_builds_one_lag_stack_for_both_references(tmp_path, monkeypatch):
+    n, replicates = 40, 40
+    horizon = max(n * n, replicates * n) - 1
+    calls = count_lag_stacks(monkeypatch)
+    kwargs = dict(n=n, replicates=replicates, seed=4, block_rule=FixedBlocks(6))
+    shared, skipped = run_cell(coupled_custom_spec(), output_dir=str(tmp_path / "shared"),
+                               **kwargs)
+    assert not skipped and calls.count(horizon) == 1
+    # each reference building its own stack, as when the cell kept lag 0 only
+    calls.clear()
+    monkeypatch.setattr(harness, "autocovariance_sequence",
+                        lambda spec, max_lag: model.autocovariance_sequence(spec, 0))
+    separate, _ = run_cell(coupled_custom_spec(), output_dir=str(tmp_path / "separate"),
+                           **kwargs)
+    assert calls.count(horizon) == 2
+    assert [(r.kind, r.ks, r.w1) for r in shared] == [(r.kind, r.ks, r.w1) for r in separate]
+    files = sorted(path.name for path in (tmp_path / "shared").iterdir())
+    assert len(files) == 1 + len(ALL_TARGETS)
+    for name in files:
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "separate" / name).read_bytes()
+
+
+def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
+    n = replicates = 40
+    calls = count_lag_stacks(monkeypatch)
+    monkeypatch.setattr(model, "P_CAP", 2)
+    results, skipped = run_cell(coupled_custom_spec(), n=n, replicates=replicates, seed=4,
+                                block_rule=FixedBlocks(6))
+    assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
+    assert [s.kind for s in skipped] == ["cov_ga", "prec_ga"]
+    assert all("exceeds cap 2" in s.reason for s in skipped)
+    assert calls == [0]  # the lag-0 truth only
