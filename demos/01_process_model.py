@@ -14,7 +14,7 @@ import numpy as np
 from lrdcov import (autocovariance, beta_tilde, condition1_constant,
                     condition2_partial, gaussian_long_run_covariance,
                     omega_transformed_long_run, process_truth, theoretical_rates,
-                    toeplitz_spec, true_precision)
+                    toeplitz_spec)
 
 # Scalar process, short memory: the lag sums have closed forms to check against.
 scalar = toeplitz_spec(beta=2.0, p=1)
@@ -29,7 +29,7 @@ truth = process_truth(spec, lags=50)
 print("\nbeta = 0.9, p = 4")
 print("beta_tilde =", beta_tilde(spec.beta))
 print("Sigma =\n", np.round(truth.sigma, 4))
-omega = true_precision(truth)
+omega = truth.omega
 print("|Omega Sigma - I|_inf =", np.abs(omega @ truth.sigma - np.eye(4)).max())
 print("decay-condition constant C0 =", condition1_constant(spec))
 print("variance lower-bound partial sums, min over entries:",

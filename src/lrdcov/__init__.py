@@ -26,7 +26,7 @@ from .model import (CoefficientSpec, ProcessTruth, autocovariance,
                     condition1_constant, condition2_partial, custom_spec,
                     gamma_tail_bound, gaussian_long_run_covariance,
                     omega_transformed_long_run, process_truth, theoretical_rates,
-                    toeplitz_spec, true_precision)
+                    toeplitz_spec)
 from .pipeline import (AcfSignificance, EdgeSet, EdgeStat, SubjectSeries,
                        acf_significance, aggregate_group, hurst_exponent, ingest,
                        subject_diagnostics, subject_graph, write_diagnostics_csv,

@@ -32,10 +32,8 @@ def _load_config(path: str) -> ExperimentConfig:
     unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "block_rule" in raw:
+    if isinstance(raw.get("block_rule"), str):  # other types are named by the config check
         raw["block_rule"] = parse_block_rule(raw["block_rule"])
-    if "targets" in raw:
-        raw["targets"] = tuple(raw["targets"])
     return ExperimentConfig(**raw)
 
 

@@ -32,6 +32,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
+from os import PathLike
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,6 +59,17 @@ RESULTS_HEADER = "n,p,beta,kind,ks,w1,runtime_ms,seed\n"
 SKIPPED_HEADER = "n,p,beta,kind,reason\n"
 
 
+# Each config field's type and how an error names it; the list fields hold that type.
+_FIELD_TYPES = {"grid_n": (Integral, "integers"), "grid_p": (Integral, "integers"),
+                "betas": (Real, "numbers"), "targets": (str, "strings"),
+                "structure": (str, "a string"), "seed": (Integral, "an integer"),
+                "replicates": (Integral, "an integer"),
+                "output_dir": ((str, PathLike), "a path"),
+                "block_rule": ((DefaultBlocks, FixedBlocks, TheoreticalBlocks),
+                               "a block rule")}
+_LIST_FIELDS = ("grid_n", "grid_p", "betas", "targets")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_n: Sequence[int]
@@ -70,6 +83,15 @@ class ExperimentConfig:
     output_dir: str = "experiment-out"
 
     def __post_init__(self):
+        # Checked once here, naming the key: a wrong type would otherwise fail deep
+        # in run_grid, and a bare string of targets would be read per character.
+        for key, (kind, name) in _FIELD_TYPES.items():
+            value, listed = getattr(self, key), key in _LIST_FIELDS
+            if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
+                    or any(not isinstance(v, kind) or isinstance(v, bool)
+                           for v in (value if listed else [value]))):
+                raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
+                                 f"{name}, got {value!r}")
         unknown = [k for k in self.targets if k not in ALL_TARGETS]
         if unknown:
             raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")

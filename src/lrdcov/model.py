@@ -215,11 +215,6 @@ def process_truth(spec: CoefficientSpec, lags: Optional[int] = None) -> ProcessT
     return ProcessTruth(spec, gamma, sigma, omega)
 
 
-def true_precision(truth: ProcessTruth) -> np.ndarray:
-    """Omega = Sigma^{-1} with max-abs residual at most 1e-10."""
-    return _spd_inverse(truth.sigma, 0.0, _TRUTH_RESIDUAL_TOL)
-
-
 def _long_run_factor(spec: CoefficientSpec) -> float:
     """sum_{|k|<=H} g_k^2 with g_k = sum_{t=0}^{H-k} c_t c_{t+k}, H = spec.truncation.
 

@@ -47,9 +47,6 @@ class EdgeSet:
     labels: tuple[str, ...]
     edges: dict = field(default_factory=dict)  # (label_a, label_b) -> EdgeStat
 
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
 class AcfSignificance:
@@ -135,15 +132,15 @@ def _hurst_columns(X: np.ndarray) -> np.ndarray:
             log_rs[s] = np.log(np.where(keep, ranges / spread, 0.0).sum(axis=-1)
                                / keep.sum(axis=-1))
     fitted = ~np.isnan(log_rs)
-    unfit = np.flatnonzero(fitted.sum(axis=0) < 2)
+    count = fitted.sum(axis=0)
+    unfit = np.flatnonzero(count < 2)
     if unfit.size:
         raise ZeroVarianceError("not enough varying windows for a slope fit", int(unfit[0]))
-    slopes = np.empty(p)
-    for mask in np.unique(fitted, axis=1).T:  # one fit per set of fitted sizes
-        cols = (fitted == mask[:, None]).all(axis=0)
-        design = np.column_stack([np.ones(mask.sum()), np.log(sizes[mask])])
-        slopes[cols] = np.linalg.lstsq(design, log_rs[mask][:, cols], rcond=None)[0][1]
-    return np.clip(slopes, 0.0, 1.0)
+    # least-squares slope over each column's fitted sizes, where dx is centred; 0 elsewhere
+    dx = np.where(fitted, np.log(sizes)[:, None], 0.0)
+    dx = fitted * (dx - dx.sum(axis=0) / count)
+    y = np.where(fitted, log_rs, 0.0)
+    return np.clip((dx * y).sum(axis=0) / (dx * dx).sum(axis=0), 0.0, 1.0)
 
 
 def hurst_exponent(series) -> float:
@@ -151,8 +148,9 @@ def hurst_exponent(series) -> float:
 
     For dyadic window sizes w = 8, 16, ... up to n/2, the range of the
     cumulative mean-adjusted deviations over each disjoint window is divided
-    by the window standard deviation; log of the averaged ratio is regressed
-    on log(w) and the slope, clamped to [0, 1], is returned.
+    by the window standard deviation, over the windows that vary; log of the
+    averaged ratio is regressed on log(w), over the sizes with such a window,
+    and the least-squares slope, clamped to [0, 1], is returned.
     """
     return float(_hurst_columns(np.asarray(series, dtype=float).reshape(-1, 1))[0])
 

@@ -146,7 +146,9 @@ def load_batch(path) -> SampleBatch:
         header = fh.read(32)
         if len(header) == 32:
             n, p, copies, seed = struct.unpack("<QQQQ", header)
-            body = fh.read(copies * n * p * 8)
+            # sized against the file before reading: a header can claim terabytes
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            body = fh.read(copies * n * p * 8) if copies * n * p * 8 <= left else b""
     if len(header) < 32 or len(body) < copies * n * p * 8:
         raise ValueError("sample-batch file is truncated")
     data = np.frombuffer(body, dtype="<f8").reshape(copies, n, p).astype(float)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lrdcov import custom_spec
+
+# CI selects this with --hypothesis-profile=ci so every run draws the same
+# examples; each test keeps its own max_examples.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

@@ -137,3 +137,18 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path):
         and "cov_bootstrap" in done.stderr
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("grid_n", 64), ("replicates", "20"),
+                                        ("targets", "cov_ga"), ("block_rule", 8),
+                                        ("betas", [2.0, "0.9"]), ("structure", None)])
+def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, key, value):
+    config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,
+              "output_dir": str(tmp_path / "out"), key: value}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    done = run_console("experiment", "--config", cfg_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(f"lrdcov: error: config key {key!r} must be ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()

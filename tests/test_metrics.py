@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdcov import (distance_report, ecdf_points, kolmogorov_distance, qq_pairs,
                     wasserstein1)
@@ -87,11 +91,49 @@ def test_w1_unequal_sizes_grid_approximation():
     rng = np.random.default_rng(9)
     a = rng.standard_normal(64)
     b = rng.standard_normal(32) + 1.0
-    # shifting both samples leaves the quantile-grid value unchanged
+    # shifting both samples leaves the value unchanged
     w = wasserstein1(a, b)
     assert wasserstein1(a - 2.0, b - 2.0) == pytest.approx(w, rel=1e-12)
-    # pure shift between unequal samples is recovered exactly on the grid
+    # a shift of 5 between unequal samples of one law costs at least 4
     assert wasserstein1(a, a[:32] + 5.0) >= 4.0
+
+
+def w1_lcm_oracle(a, b):
+    """Repeat each sample up to lcm(n1, n2) values, then pair order statistics."""
+    size = math.lcm(len(a), len(b))
+    return np.abs(np.repeat(np.sort(a), size // len(a))
+                  - np.repeat(np.sort(b), size // len(b))).mean()
+
+
+def ks_merged_oracle(a, b):
+    """Largest gap of both ECDFs on the merged support: the bits KS must keep."""
+    sa, sb = np.sort(np.asarray(a, float)), np.sort(np.asarray(b, float))
+    grid = np.union1d(sa, sb)
+    fa = np.searchsorted(sa, grid, side="right") / sa.size
+    fb = np.searchsorted(sb, grid, side="right") / sb.size
+    return float(np.abs(fa - fb).max())
+
+
+# small integers make ties within and across the samples
+sample_values = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) > 1e-200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(sample_values, min_size=1, max_size=60), data=st.data())
+def test_w1_matches_the_lcm_repeat_oracle(a, data):
+    b = data.draw(st.one_of(st.lists(sample_values, min_size=len(a), max_size=len(a)),
+                            st.lists(sample_values, min_size=1, max_size=60)))
+    assert wasserstein1(a, b) == pytest.approx(w1_lcm_oracle(a, b), rel=1e-12, abs=0)
+    assert kolmogorov_distance(a, b) == ks_merged_oracle(a, b)
+    report = distance_report(a, b)
+    assert (report.kolmogorov, report.wasserstein1) == (kolmogorov_distance(a, b),
+                                                        wasserstein1(a, b))
+
+
+def test_w1_unequal_sizes_is_exact():
+    # a midpoint grid of 8 max(n1, n2) quantile levels read 1.66071 here
+    assert wasserstein1([0.0, 1.0, 3.0], np.arange(7.0)) == pytest.approx(5 / 3, rel=1e-15)
 
 
 def test_qq_pairs_examples():

@@ -12,7 +12,7 @@ from lrdcov import (CoefficientSpec, NotInvertibleError, OutOfRegimeError,
                     condition1_constant, condition2_partial, custom_spec,
                     gamma_tail_bound, gaussian_long_run_covariance,
                     omega_transformed_long_run, process_truth, theoretical_rates,
-                    toeplitz_spec, true_precision)
+                    toeplitz_spec)
 
 ZETA4 = math.pi ** 4 / 90.0          # sum (t+1)^-4
 GAMMA1_SCALAR = math.pi ** 2 / 3 - 3  # sum (t+1)^-2 (t+2)^-2
@@ -169,7 +169,7 @@ def test_long_run_factor_is_the_sum_of_squared_lag_sums(beta, T):
 
 def test_true_precision_identity(iid_spec_p2):
     truth = process_truth(iid_spec_p2, lags=1)
-    assert np.allclose(true_precision(truth), np.eye(2), atol=1e-12)
+    assert np.allclose(truth.omega, np.eye(2), atol=1e-12)
 
 
 def test_true_precision_diagonal():
@@ -178,12 +178,12 @@ def test_true_precision_diagonal():
         beta=1.0, p=2, d=2, truncation=2)
     truth = process_truth(spec, lags=1)
     assert np.allclose(truth.sigma, np.diag([2.0, 4.0]), rtol=1e-12)
-    assert np.allclose(true_precision(truth), np.diag([0.5, 0.25]), rtol=1e-12)
+    assert np.allclose(truth.omega, np.diag([0.5, 0.25]), rtol=1e-12)
 
 
 def test_true_precision_residual_toeplitz():
     truth = process_truth(toeplitz_spec(2.0, 3, truncation=5000), lags=2)
-    omega = true_precision(truth)
+    omega = truth.omega
     assert np.abs(omega @ truth.sigma - np.eye(3)).max() < 1e-10
 
 
@@ -193,8 +193,8 @@ def test_true_precision_singular_reports_eigenvalue():
         beta=1.0, p=2, d=2, truncation=2)
     truth = process_truth(spec, lags=1)
     assert truth.omega is None
-    with pytest.raises(NotInvertibleError) as err:
-        true_precision(truth)
+    with pytest.raises(NotInvertibleError) as err:  # the call process_truth makes
+        model._spd_inverse(truth.sigma, 0.0, model._TRUTH_RESIDUAL_TOL)
     assert err.value.smallest_eigenvalue is not None
     assert err.value.smallest_eigenvalue < 1e-12
 
@@ -306,7 +306,7 @@ def test_long_run_unweighted_direct_oracle(make_spec):
     plain = gaussian_long_run_covariance(truth, None)
     assert np.allclose(plain, direct_long_run(spec), rtol=1e-12, atol=0.0)
     transformed = omega_transformed_long_run(truth, None)
-    oracle = direct_long_run(spec, true_precision(truth))
+    oracle = direct_long_run(spec, truth.omega)
     assert np.allclose(transformed, oracle, rtol=1e-12,
                        atol=1e-12 * np.abs(oracle).max())
 
@@ -323,7 +323,7 @@ def test_long_run_fejer_direct_oracle(make_spec, n):
     oracle = direct_long_run(spec, n=n)
     np.testing.assert_allclose(gaussian_long_run_covariance(truth, n), oracle,
                                rtol=1e-12, atol=0.0)
-    oracle = direct_long_run(spec, true_precision(truth), n)
+    oracle = direct_long_run(spec, truth.omega, n)
     np.testing.assert_allclose(omega_transformed_long_run(truth, n), oracle, rtol=1e-12,
                                atol=1e-12 * np.abs(oracle).max())
 
@@ -397,7 +397,7 @@ def test_omega_transform_two_pass_oracle():
     spec = toeplitz_spec(2.0, 2, truncation=3000)
     truth = process_truth(spec, lags=2)
     n = 50
-    omega = true_precision(truth)
+    omega = truth.omega
     p = 2
     oracle = np.zeros((p * p, p * p))
     for k in range(-n + 1, n):

@@ -14,6 +14,7 @@ from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
                     subject_diagnostics, subject_graph, toeplitz_spec,
                     write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
+from lrdcov.pipeline import _hurst_columns
 
 LABELS5 = tuple("abcde")
 
@@ -236,8 +237,8 @@ def test_acf_lag_range_validated():
 
 # --- diagnostics kernels against the per-column loops -------------------------
 
-def hurst_oracle(x):
-    """The per-column R/S loop the stacked kernel replaced."""
+def rs_points(x):
+    """(log w, log mean R/S) of one column at each window size with a varying window."""
     n = x.size
     sizes = []
     w = 8
@@ -255,6 +256,12 @@ def hurst_oracle(x):
         if keep.any():
             log_w.append(math.log(w))
             log_rs.append(math.log((ranges[keep] / spread[keep]).mean()))
+    return log_w, log_rs
+
+
+def hurst_oracle(x):
+    """The per-column R/S loop the stacked kernel replaced."""
+    log_w, log_rs = rs_points(x)
     design = np.column_stack([np.ones(len(log_w)), log_w])
     slope = np.linalg.lstsq(design, np.asarray(log_rs), rcond=None)[0][1]
     return min(max(slope, 0.0), 1.0)
@@ -296,6 +303,23 @@ def test_diagnostics_kernels_match_per_column_loops(n, p):
         assert hurst_exponent(x) == pytest.approx(hurst_oracle(x), rel=1e-12, abs=0)
         assert count == acf_count_oracle(x, 21, lag_hi)
         assert acf_significance(x, 21, lag_hi).count == count
+
+
+def test_hurst_slopes_match_polyfit_per_column():
+    # At n 250 the sizes 8, 16, 32 and 64 read the first 248, 240, 224 and 192
+    # rows, so a column constant up to row 200 or 230 fits fewer sizes.
+    X = np.random.default_rng(12).standard_normal((250, 5)).cumsum(axis=0)
+    X[:200, 1] = 0.5
+    X[:230, 3] = -1.0
+    assert [len(rs_points(X[:, j])[0]) for j in range(5)] == [4, 3, 4, 2, 4]
+    for j, slope in enumerate(_hurst_columns(X)):
+        log_w, log_rs = rs_points(X[:, j])
+        expected = min(max(np.polyfit(log_w, log_rs, 1)[0], 0.0), 1.0)
+        assert slope == pytest.approx(expected, rel=1e-12, abs=0)
+    X[:245, 2] = 3.0  # only size 8 has a varying window
+    with pytest.raises(ZeroVarianceError, match="not enough varying") as info:
+        _hurst_columns(X)
+    assert info.value.column == 2
 
 
 def test_diagnostics_constant_column_names_subject_and_column():

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -236,5 +237,15 @@ def test_truncated_dump_rejected(tmp_path, cut):
     path = tmp_path / "batch.lrdsim"
     save_batch(batch, path)
     path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="sample-batch file is truncated"):
+        load_batch(path)
+
+
+@pytest.mark.parametrize("n, p, copies", [(2**64 - 1,) * 3, (2**20, 2**20, 4),
+                                          (2**61, 1, 1)])
+def test_header_claiming_more_than_the_file_is_rejected_unread(tmp_path, n, p, copies):
+    # 2^64-1 cubed and 2^64 bytes overflowed read(); 2^45 bytes (32 TiB) ran out of memory
+    path = tmp_path / "batch.lrdsim"
+    path.write_bytes(b"LRDSIM1" + struct.pack("<QQQQ", n, p, copies, 5) + bytes(96))
     with pytest.raises(ValueError, match="sample-batch file is truncated"):
         load_batch(path)
