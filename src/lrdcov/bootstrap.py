@@ -72,12 +72,21 @@ class DefaultBlocks:
 class FixedBlocks:
     l: int
 
+    def __post_init__(self):
+        if not self.l >= 1:
+            raise ValueError(f"fixed block length {self.l} is below 1")
+
 
 @dataclass(frozen=True)
 class TheoreticalBlocks:
     epsilon: float
     scale: float = 1.0
     beta: Optional[float] = None  # may also come from the caller
+
+    def __post_init__(self):
+        if not (0.0 < self.epsilon < 1.0 and self.scale > 0):
+            raise ValueError(f"theoretical block rule needs epsilon in (0, 1) and "
+                             f"scale > 0, got {self.epsilon} and {self.scale}")
 
 
 def default_block_length(n: int) -> int:

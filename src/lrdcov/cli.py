@@ -32,8 +32,13 @@ def _load_config(path: str) -> ExperimentConfig:
     unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if isinstance(raw.get("block_rule"), str):  # other types are named by the config check
-        raw["block_rule"] = parse_block_rule(raw["block_rule"])
+    token = raw.get("block_rule")
+    if isinstance(token, str):  # other types are named by the config check
+        try:
+            raw["block_rule"] = parse_block_rule(token)
+        except ValueError as exc:
+            raise ValueError(f"config key 'block_rule' must be 'default', 'fixed:<l>' or "
+                             f"'theoretical:<eps>[:scale]', got {token!r} ({exc})") from exc
     return ExperimentConfig(**raw)
 
 

@@ -30,7 +30,7 @@ class HighDimensionError(LrdcovError):
 
 
 class DimensionTooLargeError(LrdcovError):
-    """Dense p^2 x p^2 materialization would exceed the configured cap."""
+    """Dense p^2 x p^2 materialization would exceed model.MEMORY_BUDGET."""
 
 
 class OutOfRegimeError(LrdcovError):
@@ -42,7 +42,7 @@ class InvalidPlanError(LrdcovError):
 
 
 class MemoryBudgetError(LrdcovError):
-    """Simulation buffers would exceed the configured element cap."""
+    """Simulation buffers would exceed model.MEMORY_BUDGET."""
 
 
 class ZeroVarianceError(LrdcovError):

@@ -19,17 +19,15 @@ class EstimateResult:
     n: int
 
 
-def sample_covariance(X: np.ndarray, center: bool = False) -> EstimateResult:
+def sample_covariance(X: np.ndarray) -> EstimateResult:
     """Sigma_hat = n^-1 sum_i X_i X_i^T for each (n, p) matrix in X (..., n, p).
 
-    The process model has mean zero, so no centering is applied unless
-    `center=True` (real data should be demeaned upstream or here).
+    The process model has mean zero, so no centering is applied: callers
+    demean real data first (pipeline.ingest does).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-2] < 1:
         raise ValueError("X must be a nonempty n x p matrix or a stack of them")
-    if center:
-        X = X - X.mean(axis=-2, keepdims=True)
     n = X.shape[-2]
     return EstimateResult(np.swapaxes(X, -1, -2) @ X / n, n)
 

@@ -60,14 +60,16 @@ SKIPPED_HEADER = "n,p,beta,kind,reason\n"
 
 
 # Each config field's type and how an error names it; the list fields hold that type.
-_FIELD_TYPES = {"grid_n": (Integral, "integers"), "grid_p": (Integral, "integers"),
-                "betas": (Real, "numbers"), "targets": (str, "strings"),
+_FIELD_TYPES = {"grid_n": (Integral, "positive integers"),
+                "grid_p": (Integral, "positive integers"),
+                "betas": (Real, "positive numbers"), "targets": (str, "strings"),
                 "structure": (str, "a string"), "seed": (Integral, "an integer"),
-                "replicates": (Integral, "an integer"),
+                "replicates": (Integral, "a positive integer"),
                 "output_dir": ((str, PathLike), "a path"),
                 "block_rule": ((DefaultBlocks, FixedBlocks, TheoreticalBlocks),
                                "a block rule")}
 _LIST_FIELDS = ("grid_n", "grid_p", "betas", "targets")
+_POSITIVE_FIELDS = ("grid_n", "grid_p", "betas", "replicates")
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,15 @@ class ExperimentConfig:
             value, listed = getattr(self, key), key in _LIST_FIELDS
             if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
                     or any(not isinstance(v, kind) or isinstance(v, bool)
+                           or key in _POSITIVE_FIELDS and not v > 0
                            for v in (value if listed else [value]))):
                 raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
                                  f"{name}, got {value!r}")
+        try:
+            parse_structure(self.structure)
+        except ValueError as exc:
+            raise ValueError(f"config key 'structure' must be 'toeplitz' or "
+                             f"'banded:<bandwidth>', got {self.structure!r} ({exc})") from exc
         unknown = [k for k in self.targets if k not in ALL_TARGETS]
         if unknown:
             raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")
@@ -124,6 +132,8 @@ def parse_structure(token: str):
         return lambda beta, p, truncation: toeplitz_spec(beta, p, truncation)
     if token.startswith("banded:"):
         bandwidth = int(token.split(":", 1)[1])
+        if bandwidth < 1:
+            raise ValueError(f"bandwidth {bandwidth} is below 1")
         return lambda beta, p, truncation: banded_spec(beta, p, bandwidth, truncation)
     raise ValueError(f"unknown structure token {token!r}")
 

@@ -42,12 +42,13 @@ _FFT_WORK_THRESHOLD = 2 * 10**8
 _CONDITION1_LAGS = 200  # lags a custom spec's condition-1 constant scans
 # Largest |Omega Sigma - I|_inf accepted from the analytic inverse (eigenvalue floor 0).
 _TRUTH_RESIDUAL_TOL = 1e-10
-# Default dense-assembly cap: the largest p whose reference fits in physical memory
-# (150 where unreported). The assembled matrix plus build_reference's eigh peak
-# near 48 B per p^4 element (RSS: 6.0-6.1 x 8 B at p 50 and 60).
+# Bytes every size guard compares its peak estimate with: physical memory
+# (16 GiB where unreported).  Guards read it at call time, as model.MEMORY_BUDGET.
+MEMORY_BUDGET = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                 if hasattr(os, "sysconf") else 2**34)
+# The assembled p^2 x p^2 matrix plus build_reference's eigh peak near 48 B per
+# p^4 element (RSS: 6.0-6.1 x 8 B at p 50 and 60).
 _REFERENCE_BYTES_PER_P4 = 48
-P_CAP = (int((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-              / _REFERENCE_BYTES_PER_P4) ** 0.25) if hasattr(os, "sysconf") else 150)
 
 
 @dataclass(frozen=True)
@@ -229,9 +230,11 @@ def _long_run_factor(spec: CoefficientSpec) -> float:
 
 
 def _check_dense_cap(p: int) -> None:
-    if p > P_CAP:
+    need = _REFERENCE_BYTES_PER_P4 * p**4
+    if need > MEMORY_BUDGET:
         raise DimensionTooLargeError(
-            f"p = {p} exceeds cap {P_CAP} for dense p^2 x p^2 assembly")
+            f"p = {p}: the p^2 x p^2 reference needs an estimated {need} bytes, "
+            f"over the budget of {MEMORY_BUDGET} bytes")
 
 
 def _long_run_covariance(truth: ProcessTruth, n: Optional[int],

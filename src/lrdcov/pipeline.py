@@ -54,7 +54,7 @@ class AcfSignificance:
     flag: bool
 
 
-def ingest(path, subject_id: Optional[str] = None) -> SubjectSeries:
+def ingest(path) -> SubjectSeries:
     """Read one subject's CSV (header row of labels, numeric rows), demeaned.
 
     Blank lines are skipped and cells may be quoted or padded with spaces;
@@ -88,7 +88,7 @@ def ingest(path, subject_id: Optional[str] = None) -> SubjectSeries:
     if overflow.size:
         raise ValueError(f"{path}: column {labels[overflow[0]]!r}: values too large, "
                          f"the sum of squares after demeaning is not finite")
-    return SubjectSeries(subject_id or path.stem, data, labels)
+    return SubjectSeries(path.stem, data, labels)
 
 
 def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
@@ -260,9 +260,9 @@ def write_edges_csv(edge_set: EdgeSet, path) -> None:
 
 
 def write_diagnostics_csv(rows_by_subject: Iterable[tuple[str, list]], path) -> None:
-    """rows_by_subject yields (subject_id, subject_diagnostics(...)) pairs."""
+    """rows_by_subject yields (SubjectSeries.id, subject_diagnostics(...)) pairs."""
     with open(path, "w", newline="\n") as fh:
         fh.write("subject,column,hurst,acf_count\n")
-        for subject_id, rows in rows_by_subject:
+        for subject, rows in rows_by_subject:
             for label, hurst, acf_count in rows:
-                fh.write(f"{subject_id},{label},{hurst:.10g},{acf_count}\n")
+                fh.write(f"{subject},{label},{hurst:.10g},{acf_count}\n")

@@ -19,16 +19,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import model
 from .errors import InvalidPlanError, MemoryBudgetError
 from .model import CoefficientSpec, _custom_coeff_stack, decay_sequence, template
 
 # Estimated peak bytes per N*d element: two (d, N) arrays or transforms alive
 # at once plus FFT buffers (measured peak RSS: 18-20 B at d = 10, N >= 10^6).
 _BYTES_PER_ELEMENT = 24
-# Default budget in N*d elements: the most whose estimated peak fits in
-# physical memory (2**31 where the platform does not report it).
-ELEMENT_CAP = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // _BYTES_PER_ELEMENT
-               if hasattr(os, "sysconf") else 2**31)
 
 _MAGIC = b"LRDSIM1"
 _DERIVATION = ("PCG64(SeedSequence(seed)); innovations drawn once as "
@@ -84,21 +81,18 @@ class SampleBatch:
         return self.data.shape[0]
 
 
-def simulate_multidimensional(plan: SimulationPlan,
-                              element_cap: int = ELEMENT_CAP) -> SampleBatch:
+def simulate_multidimensional(plan: SimulationPlan) -> SampleBatch:
     """Batch of (copies, n, p) paths drawn from one innovation stream.
 
     d real FFTs of length N convolve lags 0..min(N - 1, truncation) (see the
     module docstring); custom specs are contracted with their transformed
     coefficient stack per frequency.  Raises MemoryBudgetError when the
-    estimated peak exceeds `element_cap` elements of 24 bytes (default:
-    physical memory).
+    estimated peak, plan.peak_bytes, exceeds model.MEMORY_BUDGET.
     """
     spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
-    if plan.peak_bytes > element_cap * _BYTES_PER_ELEMENT:
-        raise MemoryBudgetError(
-            f"N*d = {N * d} needs an estimated {plan.peak_bytes} bytes, over the budget "
-            f"of element_cap = {element_cap} elements x {_BYTES_PER_ELEMENT} bytes")
+    if plan.peak_bytes > model.MEMORY_BUDGET:
+        raise MemoryBudgetError(f"N*d = {N * d} needs an estimated {plan.peak_bytes} bytes, "
+                                f"over the budget of {model.MEMORY_BUDGET} bytes")
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     stream = rng.standard_normal(N * d).reshape(N, d)
@@ -146,6 +140,9 @@ def load_batch(path) -> SampleBatch:
         header = fh.read(32)
         if len(header) == 32:
             n, p, copies, seed = struct.unpack("<QQQQ", header)
+            if not n * p * copies:  # no valid plan writes an empty batch
+                raise ValueError(f"sample-batch header has a zero dimension: "
+                                 f"n = {n}, p = {p}, copies = {copies}")
             # sized against the file before reading: a header can claim terabytes
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             body = fh.read(copies * n * p * 8) if copies * n * p * 8 <= left else b""

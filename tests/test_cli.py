@@ -141,7 +141,16 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("grid_n", 64), ("replicates", "20"),
                                         ("targets", "cov_ga"), ("block_rule", 8),
-                                        ("betas", [2.0, "0.9"]), ("structure", None)])
+                                        ("betas", [2.0, "0.9"]), ("structure", None),
+                                        # values that ran a grid of failed or no cells
+                                        ("structure", "banded:0"), ("betas", [0]),
+                                        ("grid_p", [0]), ("replicates", 0),
+                                        ("grid_n", [0]), ("block_rule", "theoretical:2"),
+                                        ("block_rule", "theoretical:0.5:0"),
+                                        ("block_rule", "fixed:0"),
+                                        # values that failed without naming the key
+                                        ("block_rule", "fixed:x"),
+                                        ("structure", "banded:x")])
 def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, key, value):
     config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,
               "output_dir": str(tmp_path / "out"), key: value}

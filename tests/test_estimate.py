@@ -52,14 +52,6 @@ def test_scaling_covariance_and_precision():
                        rtol=1e-10)
 
 
-def test_centering_flag():
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((50, 2)) + 10.0
-    centered = sample_covariance(X, center=True)
-    assert np.allclose(centered.sigma_hat,
-                       sample_covariance(X - X.mean(axis=0)).sigma_hat, rtol=1e-12)
-
-
 def test_precision_trivial_cases():
     est = sample_covariance(np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
     assert np.array_equal(est.sigma_hat, np.eye(2))

@@ -438,12 +438,17 @@ def test_custom_cell_builds_one_lag_stack_for_both_references(tmp_path, monkeypa
 
 
 def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
-    n = replicates = 40
+    p, n = 10, 12
+    mix = np.eye(p) + 0.1 * np.random.default_rng(0).standard_normal((p, p))
+    spec = custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=p, d=p,
+                       truncation=10**6)
     calls = count_lag_stacks(monkeypatch)
-    monkeypatch.setattr(model, "P_CAP", 2)
-    results, skipped = run_cell(coupled_custom_spec(), n=n, replicates=replicates, seed=4,
-                                block_rule=FixedBlocks(6))
+    # one byte short of the dense reference's 48 p^4; the simulator's estimate,
+    # 24 B x N (144) x (d + p (d + 1)), is 414720 bytes and fits
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
+    results, skipped = run_cell(spec, n=n, replicates=n, seed=4, block_rule=FixedBlocks(6))
     assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
     assert [s.kind for s in skipped] == ["cov_ga", "prec_ga"]
-    assert all("exceeds cap 2" in s.reason for s in skipped)
+    assert all(f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes"
+               in s.reason for s in skipped)
     assert calls == [0]  # the lag-0 truth only

@@ -7,12 +7,12 @@ import pytest
 
 import lrdcov.model as model
 from lrdcov import (CoefficientSpec, NotInvertibleError, OutOfRegimeError,
-                    TruncationExceededError, autocovariance,
+                    SimulationPlan, TruncationExceededError, autocovariance,
                     autocovariance_sequence, banded_spec, beta_tilde, coefficient,
                     condition1_constant, condition2_partial, custom_spec,
                     gamma_tail_bound, gaussian_long_run_covariance,
-                    omega_transformed_long_run, process_truth, theoretical_rates,
-                    toeplitz_spec)
+                    omega_transformed_long_run, process_truth, simulate_multidimensional,
+                    theoretical_rates, toeplitz_spec)
 
 ZETA4 = math.pi ** 4 / 90.0          # sum (t+1)^-4
 GAMMA1_SCALAR = math.pi ** 2 / 3 - 3  # sum (t+1)^-2 (t+2)^-2
@@ -353,28 +353,45 @@ def test_long_run_symmetric_psd_small_instances():
 
 def test_long_run_dimension_cap(monkeypatch):
     from lrdcov import DimensionTooLargeError
-    monkeypatch.setattr(model, "P_CAP", 3)
     truth = process_truth(toeplitz_spec(2.0, 4, truncation=100), lags=2)
-    with pytest.raises(DimensionTooLargeError):
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * 4**4)
+    assert gaussian_long_run_covariance(truth, 10).shape == (16, 16)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * 4**4 - 1)  # fits p = 3 only
+    with pytest.raises(DimensionTooLargeError,
+                       match=f"estimated {48 * 4**4} bytes, over the budget of {48 * 4**4 - 1}"):
         gaussian_long_run_covariance(truth, 10)
 
 
 def test_default_dimension_cap_fits_memory_and_refuses_before_allocating():
     from lrdcov import DimensionTooLargeError
-    from lrdcov.model import P_CAP
     # the dense reference (assembly, then its eigh factor) peaks near 48 B per p^4 element
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    assert 48 * P_CAP ** 4 <= memory < 48 * (P_CAP + 1) ** 4
-    truth = process_truth(toeplitz_spec(2.0, P_CAP + 1, truncation=10), lags=2)
+    assert model.MEMORY_BUDGET == memory
+    largest = math.isqrt(math.isqrt(memory // 48))  # the largest p that fits
+    assert 48 * largest ** 4 <= memory < 48 * (largest + 1) ** 4
+    model._check_dense_cap(largest)
+    truth = process_truth(toeplitz_spec(2.0, largest + 1, truncation=10), lags=2)
     tracemalloc.start()
     try:
         for build in (gaussian_long_run_covariance, omega_transformed_long_run):
-            with pytest.raises(DimensionTooLargeError):
+            with pytest.raises(DimensionTooLargeError, match=f"over the budget of {memory} "):
                 build(truth, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_one_budget_moves_both_size_guards(monkeypatch):
+    from lrdcov import DimensionTooLargeError, MemoryBudgetError
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * 3**4)
+    model._check_dense_cap(3)
+    with pytest.raises(DimensionTooLargeError, match="over the budget of 3888 bytes"):
+        model._check_dense_cap(4)
+    # a p = 1 plan needs 24 bytes per element of N
+    simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=162))
+    with pytest.raises(MemoryBudgetError, match="over the budget of 3888 bytes"):
+        simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=163))
 
 
 def test_omega_transform_identity_covariance(iid_spec_p2):

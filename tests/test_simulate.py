@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lrdcov.model as model
 from lrdcov import (InvalidPlanError, MemoryBudgetError, SimulationPlan,
                     autocovariance, banded_spec, coefficient, custom_spec,
                     load_batch, save_batch, simulate_multidimensional,
@@ -101,14 +102,17 @@ def test_tracemalloc_peak_within_estimate(spec):
     assert peak <= plan.peak_bytes
 
 
-def test_budget_default_and_byte_boundary():
+def test_budget_default_and_byte_boundary(monkeypatch):
     plan = SimulationPlan(toeplitz_spec(2.0, 4), n=10, seed=0, N=2**50)
     with pytest.raises(MemoryBudgetError, match=str(plan.peak_bytes)):
         simulate_multidimensional(plan)
     small = SimulationPlan(toeplitz_spec(2.0, 2), n=8, seed=0, N=64)
-    simulate_multidimensional(small, element_cap=128)
-    with pytest.raises(MemoryBudgetError):
-        simulate_multidimensional(small, element_cap=127)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", small.peak_bytes)
+    simulate_multidimensional(small)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", small.peak_bytes - 1)
+    with pytest.raises(MemoryBudgetError, match=f"estimated {small.peak_bytes} bytes, "
+                                                f"over the budget of {small.peak_bytes - 1}"):
+        simulate_multidimensional(small)
 
 
 def pooled_moment(batch, lag):
@@ -142,10 +146,11 @@ def test_plan_validation():
     assert plan.copies_requested == 10
 
 
-def test_memory_budget_error():
+def test_memory_budget_error(monkeypatch):
     plan = SimulationPlan(toeplitz_spec(2.0, 2), n=32, seed=0, N=1024)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 100 * 24)  # the plan needs 1024 * 2 * 24
     with pytest.raises(MemoryBudgetError):
-        simulate_multidimensional(plan, element_cap=100)
+        simulate_multidimensional(plan)
 
 
 def test_reproducibility_and_seed_sensitivity():
@@ -242,10 +247,15 @@ def test_truncated_dump_rejected(tmp_path, cut):
 
 
 @pytest.mark.parametrize("n, p, copies", [(2**64 - 1,) * 3, (2**20, 2**20, 4),
-                                          (2**61, 1, 1)])
+                                          (2**61, 1, 1), (0, 5, 3), (2**64 - 1, 1, 0),
+                                          (2**40, 2**40, 0)])
 def test_header_claiming_more_than_the_file_is_rejected_unread(tmp_path, n, p, copies):
-    # 2^64-1 cubed and 2^64 bytes overflowed read(); 2^45 bytes (32 TiB) ran out of memory
+    # 2^64-1 cubed and 2^64 bytes overflowed read(); 2^45 bytes (32 TiB) ran out of memory.
+    # A zero dimension claims 0 bytes: (0, 5, 3) loaded an empty batch and the others
+    # failed in reshape.
     path = tmp_path / "batch.lrdsim"
     path.write_bytes(b"LRDSIM1" + struct.pack("<QQQQ", n, p, copies, 5) + bytes(96))
-    with pytest.raises(ValueError, match="sample-batch file is truncated"):
+    message = ("sample-batch file is truncated" if n * p * copies else
+               f"sample-batch header has a zero dimension: n = {n}, p = {p}, copies = {copies}")
+    with pytest.raises(ValueError, match=message):
         load_batch(path)
