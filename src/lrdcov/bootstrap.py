@@ -2,10 +2,15 @@
 
 Sliding length-l windows of the centered Gram sequence X_j X_j^T - Sigma_hat
 produce one max-deviation statistic per window; their empirical distribution
-approximates the law of the scaled estimation error.  Windows are maintained
-incrementally (add one outer product, drop one) in chunks of at most
-`REFRESH_INTERVAL` windows and `_CHUNK_BYTES` bytes; each chunk starts from a
-full recomputation, so floating-point drift and memory stay bounded in n.
+approximates the law of the scaled estimation error.  Window i + 1 is window i
+plus the entering outer product minus the leaving one, so each window is a base
+Gram, recomputed every `REFRESH_INTERVAL` windows (fewer when p is large) to
+bound floating-point drift, plus a running sum of these differences.  The sum
+runs through two reused tile buffers of about `_TILE_DOUBLES` doubles each,
+which stay in cache and bound memory whatever n is; each tile continues the
+sum of the one before it, so no statistic depends on the tile size.  For
+p^2 >= `_ROWWISE_MIN_ENTRIES` the sum is one add per window across all p^2
+entries, below it np.cumsum; both add in the same order.
 Precision windows are the covariance windows of Y = X Omega_hat: for
 symmetric Omega_hat, Omega_hat (sum_window X_j X_j^T - l Sigma_hat) Omega_hat
 = sum_window Y_j Y_j^T - l Y^T Y / n.
@@ -28,7 +33,9 @@ KIND_COVARIANCE = "covariance"
 KIND_PRECISION = "precision"
 
 REFRESH_INTERVAL = 1024
-_CHUNK_BYTES = 2**26  # two chunk-sized buffers of p x p doubles
+_CHUNK_BYTES = 2**26  # refresh at least every _CHUNK_BYTES / (16 p^2) windows
+_TILE_DOUBLES = 2**16  # 512 KB per tile buffer, so both stay in L2 cache
+_ROWWISE_MIN_ENTRIES = 400  # p^2 from which a per-window add beats np.cumsum
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,20 @@ def resolve_block_length(rule, n: int, p: int = 1,
 
 # Window statistics -----------------------------------------------------------
 
-def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
-    """l^{-1/2} |M_i - l Sigma_hat|_inf over all windows, in window order."""
+def _series(X: np.ndarray) -> np.ndarray:
+    """X as a finite float n x p matrix with p >= 1, else ValueError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be an n x p matrix with p >= 1")
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"X row {i}, column {j}: non-finite value {X[i, j]}")
+    return X
+
+
+def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
+    """l^{-1/2} |M_i - l Sigma_hat|_inf over all windows, in window order,
+    for a finite n x p matrix X."""
     n, p = X.shape
     if not 1 <= l <= n:
         raise ValueError(f"block length {l} outside [1, {n}]")
@@ -145,26 +161,41 @@ def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
     count = n - l + 1
     vals = np.empty(count)
     chunk = min(REFRESH_INTERVAL, count, max(1, _CHUNK_BYTES // (16 * p * p)))
-    windows, leaving = np.empty((chunk, p, p)), np.empty((chunk - 1, p, p))
+    tile = min(chunk, max(1, _TILE_DOUBLES // (p * p)))
+    steps_buf, leaving_buf = np.empty((tile, p, p)), np.empty((tile, p, p))
+    running = np.empty((p, p))
+    rowwise = p * p >= _ROWWISE_MIN_ENTRIES
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        block, steps = windows[:stop - start], windows[1:stop - start]
         first = X[start:start + l]
-        block[0] = first.T @ first
-        # window i + 1 = window i + entering outer product - leaving one
-        enter, leave = X[start + l:stop + l - 1], X[start:stop - 1]
-        np.multiply(enter[:, :, None], enter[:, None, :], out=steps)
-        steps -= np.multiply(leave[:, :, None], leave[:, None, :], out=leaving[:len(leave)])
-        np.cumsum(steps, axis=0, out=steps)
-        steps += block[0]
-        block -= target
-        vals[start:stop] = np.abs(block, out=block).max(axis=(1, 2))
+        base = first.T @ first
+        vals[start] = np.abs(base - target).max()
+        # window i = base + running sum over j <= i of (entering - leaving outer
+        # product); each tile continues the running sum of the one before it
+        for lo in range(start + 1, stop, tile):
+            hi = min(lo + tile, stop)
+            steps = steps_buf[:hi - lo]
+            enter, leave = X[lo + l - 1:hi + l - 1], X[lo - 1:hi - 1]
+            np.multiply(enter[:, :, None], enter[:, None, :], out=steps)
+            steps -= np.multiply(leave[:, :, None], leave[:, None, :],
+                                 out=leaving_buf[:hi - lo])
+            if lo > start + 1:
+                steps[0] += running
+            if rowwise:
+                for k in range(1, hi - lo):
+                    np.add(steps[k - 1], steps[k], out=steps[k])
+            else:
+                np.cumsum(steps, axis=0, out=steps)
+            np.copyto(running, steps[-1])
+            steps += base
+            steps -= target
+            vals[lo:hi] = np.abs(steps, out=steps).max(axis=(1, 2))
     return vals / math.sqrt(l)
 
 
 def covariance_blocks(X: np.ndarray, l: int) -> BootstrapDistribution:
     """Empirical distribution of l^{-1/2} |sum_window (X_j X_j^T - Sigma_hat)|_inf."""
-    return BootstrapDistribution(_window_maxima(X, l), l, KIND_COVARIANCE)
+    return BootstrapDistribution(_window_maxima(_series(X), l), l, KIND_COVARIANCE)
 
 
 def precision_blocks(X: np.ndarray, l: int,
@@ -172,15 +203,15 @@ def precision_blocks(X: np.ndarray, l: int,
     """Covariance windows conjugated by Omega_hat on both sides.
 
     Computed as the covariance windows of X @ omega, so `omega` (by default
-    the sample precision) must be symmetric to a relative 1e-8.
+    the sample precision) must be finite and symmetric to a relative 1e-8.
     """
-    X = np.asarray(X, dtype=float)
+    X = _series(X)
     if omega is None:
         omega = sample_precision(sample_covariance(X))
     omega = np.asarray(omega, dtype=float)
-    if (omega.shape != (X.shape[1],) * 2
+    if (omega.shape != (X.shape[1],) * 2 or not np.isfinite(omega).all()
             or np.abs(omega - omega.T).max() > 1e-8 * np.abs(omega).max()):
-        raise ValueError("omega must be a symmetric p x p matrix")
+        raise ValueError("omega must be a finite symmetric p x p matrix")
     return BootstrapDistribution(_window_maxima(X @ omega, l), l, KIND_PRECISION)
 
 
@@ -198,5 +229,7 @@ def confidence_region(center: np.ndarray, dist: BootstrapDistribution, n: int,
     """Simultaneous entrywise region with half width n^{-1/2} q_hat(1 - alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not n > 0:
+        raise ValueError(f"sample size n must be positive, got n = {n}")
     half_width = quantile(dist, 1.0 - alpha) / math.sqrt(n)
     return ConfidenceRegion(np.asarray(center, dtype=float), half_width, alpha)

@@ -39,7 +39,8 @@ def _singular(message: str, eigvals: np.ndarray) -> NearSingularError:
 
 def _eigh_inverse(sigma: np.ndarray, rel_eig_floor: float,
                   residual_tol: float) -> np.ndarray:
-    """Inverse of each symmetric matrix in `sigma` (..., p, p) via eigendecomposition.
+    """Inverse of each symmetric matrix in `sigma` (..., p, p) via eigendecomposition,
+    symmetrised as the LU inverse of `_spd_inverse` is.
 
     Raises NearSingularError for the first matrix whose smallest eigenvalue is
     at or below `rel_eig_floor` times its largest diagonal entry, or whose
@@ -55,6 +56,7 @@ def _eigh_inverse(sigma: np.ndarray, rel_eig_floor: float,
         raise _singular(f"smallest eigenvalue {spectra[k, 0]:.3e} at or below floor "
                         f"{floor[k]:.3e}", spectra[k])
     omega = (eigvecs / eigvals[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+    omega = (omega + np.swapaxes(omega, -1, -2)) / 2.0
     resid = np.ravel(np.abs(omega @ sigma - np.eye(p)).max(axis=(-2, -1)))
     high = resid > residual_tol
     if high.any():

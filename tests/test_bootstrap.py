@@ -9,7 +9,8 @@ from lrdcov import (BootstrapDistribution, DefaultBlocks, FixedBlocks,
                     default_block_length, precision_blocks, quantile,
                     resolve_block_length, theoretical_block_length,
                     theoretical_rates)
-from lrdcov.bootstrap import REFRESH_INTERVAL
+from lrdcov import bootstrap
+from lrdcov.bootstrap import REFRESH_INTERVAL, _window_maxima
 from lrdcov.errors import OutOfRegimeError
 
 
@@ -25,6 +26,30 @@ def naive_blocks(X, l, omega=None):
             dev = omega @ dev @ omega
         vals.append(np.abs(dev).max() / math.sqrt(l))
     return np.sort(np.array(vals))
+
+
+def chunked_reference(X, l):
+    """The untiled kernel: one cumsum over each whole refresh chunk."""
+    n, p = X.shape
+    target = l * (X.T @ X / n)
+    count = n - l + 1
+    vals = np.empty(count)
+    chunk = min(REFRESH_INTERVAL, count,
+                max(1, bootstrap._CHUNK_BYTES // (16 * p * p)))
+    windows, leaving = np.empty((chunk, p, p)), np.empty((chunk - 1, p, p))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        block, steps = windows[:stop - start], windows[1:stop - start]
+        first = X[start:start + l]
+        block[0] = first.T @ first
+        enter, leave = X[start + l:stop + l - 1], X[start:stop - 1]
+        np.multiply(enter[:, :, None], enter[:, None, :], out=steps)
+        steps -= np.multiply(leave[:, :, None], leave[:, None, :], out=leaving[:len(leave)])
+        np.cumsum(steps, axis=0, out=steps)
+        steps += block[0]
+        block -= target
+        vals[start:stop] = np.abs(block, out=block).max(axis=(1, 2))
+    return vals / math.sqrt(l)
 
 
 def test_full_window_cancels():
@@ -156,6 +181,80 @@ def test_chunk_byte_budget(monkeypatch):
     tracemalloc.stop()
     assert peak <= 2**19  # the budget plus numpy's fixed ufunc buffers; 2.4 MB unchunked
     assert np.allclose(dist.values, naive_blocks(X, 30), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n, p, l", [
+    (1100, 20, 60),    # 1041 windows: a refresh at 1024, tiles of 163 windows
+    (1100, 3, 60),     # cumsum path, one tile per refresh chunk
+    (300, 50, 17),     # tiles of 26 windows, last tile of 23
+    (200, 1, 1), (200, 1, 200), (40, 1, 7),
+    (60, 4, 1), (60, 4, 60), (80, 30, 80), (80, 30, 1),
+])
+def test_tiled_kernel_matches_chunked_reference(n, p, l):
+    X = np.random.default_rng(n + p + l).standard_normal((n, p))
+    assert np.array_equal(_window_maxima(X, l), chunked_reference(X, l))
+
+
+@pytest.mark.parametrize("tile_doubles", [1, 2 * 400, 3 * 400 + 1, 1023 * 400])
+def test_any_tile_size_matches_chunked_reference(monkeypatch, tile_doubles):
+    # tiles of 1, 2, 3 and 1023 windows of 20 x 20, across a refresh boundary
+    monkeypatch.setattr(bootstrap, "_TILE_DOUBLES", tile_doubles)
+    X = np.random.default_rng(26).standard_normal((1100, 20))
+    assert np.array_equal(_window_maxima(X, 60), chunked_reference(X, 60))
+
+
+@pytest.mark.parametrize("p", [3, 20])
+def test_running_sum_paths_agree(monkeypatch, p):
+    X = np.random.default_rng(27).standard_normal((1100, p))
+    results = []
+    for threshold in (0, 10**9):  # row-wise adds, then np.cumsum
+        monkeypatch.setattr(bootstrap, "_ROWWISE_MIN_ENTRIES", threshold)
+        results.append(_window_maxima(X, 60))
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], chunked_reference(X, 60))
+
+
+def test_window_memory_bounded_by_tiles():
+    # n 120, p 50: 97 windows in one refresh chunk; two tile buffers of 26
+    # windows (1.04 MB) instead of two chunk buffers of 97 and 96 (3.9 MB)
+    X = np.random.default_rng(28).standard_normal((120, 50))
+    tile_bytes = 2 * (bootstrap._TILE_DOUBLES // 2500) * 2500 * 8
+    tracemalloc.start()
+    covariance_blocks(X, 24)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= tile_bytes + 2**18
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_blocks_reject_non_finite_cell(bad):
+    X = np.random.default_rng(29).standard_normal((120, 3))
+    X[50, 1] = bad
+    X[70, 0] = bad
+    for blocks in (covariance_blocks, precision_blocks):
+        with pytest.raises(ValueError, match="row 50, column 1"):
+            blocks(X, 24)
+    with pytest.raises(ValueError, match="row 50, column 1"):
+        precision_blocks(X, 24, omega=np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_precision_rejects_non_finite_omega(bad):
+    X = np.random.default_rng(30).standard_normal((60, 3))
+    omega = np.eye(3)
+    omega[1, 2] = bad
+    with pytest.raises(ValueError, match="finite symmetric"):
+        precision_blocks(X, 10, omega=omega)
+    omega[2, 1] = bad  # symmetric, still not finite
+    with pytest.raises(ValueError, match="finite symmetric"):
+        precision_blocks(X, 10, omega=omega)
+
+
+@pytest.mark.parametrize("n", [0, -5, float("nan")])
+def test_confidence_region_rejects_non_positive_n(n):
+    dist = BootstrapDistribution(np.linspace(0.0, 1.0, 10), l=2, kind="covariance")
+    with pytest.raises(ValueError, match="n = "):
+        confidence_region(np.zeros((2, 2)), dist, n, alpha=0.1)
 
 
 def test_quantile_examples():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrdcov.estimate as estimate
@@ -175,6 +175,7 @@ def max_residual(omega, sigma):
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(2, 50), log_kappa=st.floats(0.0, 8.0), copies=st.integers(1, 4),
        log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(p=20, log_kappa=8.0, copies=2, log_scale=0.0, seed=1016)  # eigh fallback
 def test_spd_inverse_matches_the_eigh_oracle(p, log_kappa, copies, log_scale, seed):
     stack = spectral_stack(np.random.default_rng(seed), copies, p, 10.0 ** log_kappa,
                            10.0 ** log_scale)
