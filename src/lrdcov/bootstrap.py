@@ -4,11 +4,11 @@ Sliding length-l windows of the centered Gram sequence X_j X_j^T - Sigma_hat
 produce one max-deviation statistic per window; their empirical distribution
 approximates the law of the scaled estimation error.  Window i + 1 is window i
 plus the entering outer product minus the leaving one, so each window is a base
-Gram, recomputed every `REFRESH_INTERVAL` windows (fewer when p is large) to
-bound floating-point drift, plus a running sum of these differences.  The sum
-runs through two reused tile buffers of about `_TILE_DOUBLES` doubles each,
-which stay in cache and bound memory whatever n is; each tile continues the
-sum of the one before it, so no statistic depends on the tile size.  For
+Gram, recomputed every `REFRESH_INTERVAL` windows to bound floating-point
+drift, plus a running sum of these differences.  The sum runs through two
+reused tile buffers of about `_TILE_DOUBLES` doubles each, which stay in cache
+and bound memory whatever n is; each tile continues the sum of the one
+before it, so no statistic depends on the tile size.  For
 p^2 >= `_ROWWISE_MIN_ENTRIES` the sum is one add per window across all p^2
 entries, below it np.cumsum; both add in the same order.
 Precision windows are the covariance windows of Y = X Omega_hat: for
@@ -29,11 +29,7 @@ from .estimate import sample_covariance, sample_precision
 from .metrics import _quantile_exact
 from .model import theoretical_rates
 
-KIND_COVARIANCE = "covariance"
-KIND_PRECISION = "precision"
-
 REFRESH_INTERVAL = 1024
-_CHUNK_BYTES = 2**26  # refresh at least every _CHUNK_BYTES / (16 p^2) windows
 _TILE_DOUBLES = 2**16  # 512 KB per tile buffer, so both stay in L2 cache
 _ROWWISE_MIN_ENTRIES = 400  # p^2 from which a per-window add beats np.cumsum
 
@@ -160,7 +156,7 @@ def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
     target = l * (X.T @ X / n)
     count = n - l + 1
     vals = np.empty(count)
-    chunk = min(REFRESH_INTERVAL, count, max(1, _CHUNK_BYTES // (16 * p * p)))
+    chunk = min(REFRESH_INTERVAL, count)
     tile = min(chunk, max(1, _TILE_DOUBLES // (p * p)))
     steps_buf, leaving_buf = np.empty((tile, p, p)), np.empty((tile, p, p))
     running = np.empty((p, p))
@@ -195,7 +191,7 @@ def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
 
 def covariance_blocks(X: np.ndarray, l: int) -> BootstrapDistribution:
     """Empirical distribution of l^{-1/2} |sum_window (X_j X_j^T - Sigma_hat)|_inf."""
-    return BootstrapDistribution(_window_maxima(_series(X), l), l, KIND_COVARIANCE)
+    return BootstrapDistribution(_window_maxima(_series(X), l), l, "covariance")
 
 
 def precision_blocks(X: np.ndarray, l: int,
@@ -212,7 +208,7 @@ def precision_blocks(X: np.ndarray, l: int,
     if (omega.shape != (X.shape[1],) * 2 or not np.isfinite(omega).all()
             or np.abs(omega - omega.T).max() > 1e-8 * np.abs(omega).max()):
         raise ValueError("omega must be a finite symmetric p x p matrix")
-    return BootstrapDistribution(_window_maxima(X @ omega, l), l, KIND_PRECISION)
+    return BootstrapDistribution(_window_maxima(X @ omega, l), l, "precision")
 
 
 def quantile(dist: BootstrapDistribution, level: float) -> float:

@@ -19,7 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bootstrap import DefaultBlocks, precision_blocks, quantile, resolve_block_length
+from .bootstrap import (DefaultBlocks, confidence_region, precision_blocks,
+                        resolve_block_length)
 from .errors import HighDimensionError, ZeroVarianceError
 from .estimate import sample_covariance, sample_precision
 
@@ -193,17 +194,15 @@ def subject_graph(subject: SubjectSeries, alpha: float,
     omega_hat = sample_precision(sample_covariance(data))
     l = resolve_block_length(block_rule, n, p)
     dist = precision_blocks(data, l, omega=omega_hat)
-    q_hat = quantile(dist, 1.0 - alpha)
+    half_width = confidence_region(omega_hat, dist, n, alpha).half_width
+    rows, cols = np.triu_indices(p, 1)
+    entries = omega_hat[rows, cols]
+    hit = np.abs(entries) > half_width
     edges = {}
-    if math.isfinite(q_hat):
-        half_width = q_hat / math.sqrt(n)
-        rows, cols = np.triu_indices(p, 1)
-        entries = omega_hat[rows, cols]
-        hit = np.abs(entries) > half_width
-        for j, k, entry in zip(rows[hit], cols[hit], entries[hit]):
-            pair = tuple(sorted((subject.labels[j], subject.labels[k])))
-            edges[pair] = EdgeStat(count=1, score=abs(entry) - half_width,
-                                   lower=entry - half_width, upper=entry + half_width)
+    for j, k, entry in zip(rows[hit], cols[hit], entries[hit]):
+        pair = tuple(sorted((subject.labels[j], subject.labels[k])))
+        edges[pair] = EdgeStat(count=1, score=abs(entry) - half_width,
+                               lower=entry - half_width, upper=entry + half_width)
     return EdgeSet(subject.labels, edges)
 
 
@@ -229,8 +228,12 @@ def aggregate_group(edge_sets: Sequence[EdgeSet], sparsity: float) -> EdgeSet:
             agg.score += stat.score
     p = len(labels)
     cap = int(math.ceil(sparsity * (p * (p - 1) // 2) - 1e-9))
-    ranked = sorted(pooled.items(), key=lambda kv: (-kv[1].count, -kv[1].score, kv[0]))
-    return EdgeSet(labels, dict(ranked[:cap]))
+    return EdgeSet(labels, dict(_ranked(pooled)[:cap]))
+
+
+def _ranked(edges: dict) -> list:
+    """Edges by count, then summed score (both descending), then label pair."""
+    return sorted(edges.items(), key=lambda kv: (-kv[1].count, -kv[1].score, kv[0]))
 
 
 def subject_diagnostics(subject: SubjectSeries,
@@ -251,11 +254,9 @@ def subject_diagnostics(subject: SubjectSeries,
 
 
 def write_edges_csv(edge_set: EdgeSet, path) -> None:
-    ranked = sorted(edge_set.edges.items(),
-                    key=lambda kv: (-kv[1].count, -kv[1].score, kv[0]))
     with open(path, "w", newline="\n") as fh:
         fh.write("source,target,count,score\n")
-        for (a, b), stat in ranked:
+        for (a, b), stat in _ranked(edge_set.edges):
             fh.write(f"{a},{b},{stat.count},{stat.score:.10g}\n")
 
 

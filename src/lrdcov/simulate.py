@@ -138,15 +138,17 @@ def load_batch(path) -> SampleBatch:
         if magic != _MAGIC:
             raise ValueError(f"not a sample-batch file (magic {magic!r})")
         header = fh.read(32)
-        if len(header) == 32:
-            n, p, copies, seed = struct.unpack("<QQQQ", header)
-            if not n * p * copies:  # no valid plan writes an empty batch
-                raise ValueError(f"sample-batch header has a zero dimension: "
-                                 f"n = {n}, p = {p}, copies = {copies}")
-            # sized against the file before reading: a header can claim terabytes
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            body = fh.read(copies * n * p * 8) if copies * n * p * 8 <= left else b""
-    if len(header) < 32 or len(body) < copies * n * p * 8:
-        raise ValueError("sample-batch file is truncated")
+        if len(header) < 32:
+            raise ValueError("sample-batch file is truncated")
+        n, p, copies, seed = struct.unpack("<QQQQ", header)
+        if not n * p * copies:  # no valid plan writes an empty batch
+            raise ValueError(f"sample-batch header has a zero dimension: "
+                             f"n = {n}, p = {p}, copies = {copies}")
+        # sized against the file before reading: a header can claim terabytes
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - copies * n * p * 8
+        if extra:
+            raise ValueError("sample-batch file is truncated" if extra < 0 else
+                             f"sample-batch file has {extra} trailing bytes after its body")
+        body = fh.read(copies * n * p * 8)
     data = np.frombuffer(body, dtype="<f8").reshape(copies, n, p).astype(float)
     return SampleBatch(data, int(seed), derivation=f"loaded from {path}")

@@ -34,8 +34,7 @@ def chunked_reference(X, l):
     target = l * (X.T @ X / n)
     count = n - l + 1
     vals = np.empty(count)
-    chunk = min(REFRESH_INTERVAL, count,
-                max(1, bootstrap._CHUNK_BYTES // (16 * p * p)))
+    chunk = min(REFRESH_INTERVAL, count)
     windows, leaving = np.empty((chunk, p, p)), np.empty((chunk - 1, p, p))
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
@@ -83,18 +82,30 @@ def test_rejects_input_without_columns():
         covariance_blocks(np.ones(20), 5)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sliding_window_matches_naive(seed):
+@pytest.mark.parametrize("seed, size", [
+    (1, None), (2, None), (3, None),  # n, p and l drawn from the seed
+    (25, (400, 20, 30)),
+    (25, (200, 80, 30)),   # p > 64: tiles of 10 windows
+    (25, (300, 150, 30)),  # 271 windows in one refresh chunk, tiles of 2
+], ids=["1", "2", "3", "400-20-30", "200-80-30", "300-150-30"])
+def test_sliding_window_matches_naive(seed, size):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(50, 300))
-    p = int(rng.integers(1, 6))
-    l = int(rng.integers(2, n // 2))
+    if size is None:
+        n = int(rng.integers(50, 300))
+        p = int(rng.integers(1, 6))
+        l = int(rng.integers(2, n // 2))
+    else:
+        n, p, l = size
     X = rng.standard_normal((n, p))
     dist = covariance_blocks(X, l)
     oracle = naive_blocks(X, l)
     assert len(dist) == n - l + 1
     assert np.all(dist.values >= 0)
     assert np.allclose(dist.values, oracle, rtol=1e-9)
+    from lrdcov import sample_covariance, sample_precision
+    omega = sample_precision(sample_covariance(X))
+    assert np.allclose(precision_blocks(X, l).values, naive_blocks(X, l, omega=omega),
+                       rtol=1e-9)
 
 
 def test_precision_matches_naive():
@@ -157,7 +168,7 @@ def test_precision_rejects_nonsymmetric_omega():
 
 
 def test_window_memory_bounded_by_chunk():
-    # Buffers hold one chunk of p x p windows; only the per-window outputs
+    # Buffers hold two tiles of p x p windows; only the per-window outputs
     # (a few doubles each) may grow with n.
     rng = np.random.default_rng(24)
     peaks = {}
@@ -168,19 +179,6 @@ def test_window_memory_bounded_by_chunk():
         peaks[n] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[8192] - peaks[2048] <= 24 * (8192 - 2048)
-
-
-def test_chunk_byte_budget(monkeypatch):
-    from lrdcov import bootstrap
-    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 2**18)
-    rng = np.random.default_rng(25)
-    X = rng.standard_normal((400, 20))  # 6400 B per window: 40-window chunks
-    tracemalloc.start()
-    dist = covariance_blocks(X, 30)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 2**19  # the budget plus numpy's fixed ufunc buffers; 2.4 MB unchunked
-    assert np.allclose(dist.values, naive_blocks(X, 30), rtol=1e-9)
 
 
 @pytest.mark.parametrize("n, p, l", [

@@ -16,6 +16,7 @@ from lrdcov import (ExperimentConfig, FixedBlocks, custom_spec, qq_pairs, run_ce
                     run_grid, toeplitz_spec)
 from lrdcov import (EstimateResult, NearSingularError, SimulationPlan, process_truth,
                     sample_precision, simulate_multidimensional)
+from lrdcov.bootstrap import _window_maxima
 from lrdcov.harness import ALL_TARGETS, parse_block_rule, parse_structure
 
 
@@ -276,7 +277,8 @@ def test_cell_statistics_match_per_copy_loop(tmp_path):
              output_dir=str(tmp_path))
 
     # Rebuild the copies and window ends as run_cell draws them, then score each
-    # copy on its own: Sigma_hat, Omega_hat, both errors and one window.
+    # copy on its own: Sigma_hat, Omega_hat, both errors, and its drawn window's
+    # statistic read from the bootstrap kernel's scan of all windows.
     sim_ss, window_ss, _, _ = np.random.SeedSequence(seed).spawn(4)
     N = max(n * n, replicates * n)
     plan = SimulationPlan(replace(spec, truncation=N - 1), n,
@@ -291,10 +293,8 @@ def test_cell_statistics_match_per_copy_loop(tmp_path):
         omega_hat = sample_precision(EstimateResult(sigma_hat, n))
         reference["cov_error"].append(math.sqrt(n) * np.abs(sigma_hat - truth.sigma).max())
         reference["prec_error"].append(math.sqrt(n) * np.abs(omega_hat - truth.omega).max())
-        rows = X[k, ends[k] - l:ends[k], :]
-        dev = rows.T @ rows - l * sigma_hat
-        reference["cov_boot"].append(np.abs(dev).max() / math.sqrt(l))
-        reference["prec_boot"].append(np.abs(omega_hat @ dev @ omega_hat).max() / math.sqrt(l))
+        reference["cov_boot"].append(_window_maxima(X[k], l)[ends[k] - l])
+        reference["prec_boot"].append(_window_maxima(X[k] @ omega_hat, l)[ends[k] - l])
 
     sidecar = read_ecdf(tmp_path / "ecdf_n80_p3_b2.csv")
     for label, values in reference.items():
@@ -312,6 +312,17 @@ def test_failed_sample_precision_skips_both_precision_targets(monkeypatch):
     assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
     assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
     assert all(s.reason == "sample precision failed: forced failure" for s in skipped)
+
+
+def test_singular_truth_skips_both_precision_targets():
+    # rank-one coefficients A_t = (t + 1)^-2 v: the true covariance has rank 1
+    v = np.array([[1.0], [0.5], [-0.25]])
+    spec = custom_spec(lambda t: (t + 1.0) ** -2 * v, beta=2.0, p=3, d=1, truncation=100)
+    results, skipped = run_cell(spec, n=40, replicates=10, seed=5,
+                                block_rule=FixedBlocks(5))
+    assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
+    assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
+    assert all(s.reason == "true covariance is not invertible" for s in skipped)
 
 
 def test_built_in_cell_does_not_assemble_the_reference(monkeypatch):

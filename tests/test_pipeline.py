@@ -392,15 +392,12 @@ def test_subject_graph_requires_low_dimension():
         subject_graph(make_subject(X), alpha=0.1)
 
 
-def test_subject_graph_infinite_quantile_gives_empty():
+def test_subject_graph_infinite_quantile_gives_empty(monkeypatch):
     subject = make_subject(np.random.default_rng(8).standard_normal((100, 3)))
-    import lrdcov.pipeline as P
-    original = P.quantile
-    P.quantile = lambda dist, level: math.inf
-    try:
-        edge_set = subject_graph(subject, alpha=0.1, block_rule=FixedBlocks(20))
-    finally:
-        P.quantile = original
+    # subject_graph takes its half width from bootstrap.confidence_region
+    import lrdcov.bootstrap as B
+    monkeypatch.setattr(B, "quantile", lambda dist, level: math.inf)
+    edge_set = subject_graph(subject, alpha=0.1, block_rule=FixedBlocks(20))
     assert edge_set.edges == {}
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import lrdcov.model as model
-from lrdcov import (InvalidPlanError, MemoryBudgetError, SimulationPlan,
-                    autocovariance, banded_spec, coefficient, custom_spec,
+from lrdcov import (InvalidPlanError, MemoryBudgetError, SampleBatch,
+                    SimulationPlan, autocovariance, banded_spec, coefficient, custom_spec,
                     load_batch, save_batch, simulate_multidimensional,
                     toeplitz_spec)
 
@@ -244,6 +244,20 @@ def test_truncated_dump_rejected(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(ValueError, match="sample-batch file is truncated"):
         load_batch(path)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 24])
+def test_dump_longer_than_its_header_rejected(tmp_path, extra):
+    # bytes past the body the header describes are an error, not ignored
+    batch = SampleBatch(np.random.default_rng(31).standard_normal((4, 10, 2)), 9)
+    path = tmp_path / "batch.lrdsim"
+    save_batch(batch, path)
+    path.write_bytes(path.read_bytes() + bytes(extra))
+    if extra:
+        with pytest.raises(ValueError, match=f"sample-batch file has {extra} trailing bytes"):
+            load_batch(path)
+    else:
+        assert np.array_equal(load_batch(path).data, batch.data)
 
 
 @pytest.mark.parametrize("n, p, copies", [(2**64 - 1,) * 3, (2**20, 2**20, 4),
