@@ -19,6 +19,18 @@ cell draws it in that matrix form: no p^2 x p^2 matrix, no eigh, and draws
 that do not depend on the BLAS thread count.  Custom specs assemble the
 covariance and factor it.
 
+A cell runs in two lanes.  The calling thread simulates the copies, estimates
+Sigma_hat and Omega_hat and forms the bootstrap windows.  The reference lane
+needs only the spec and its lag-0 truth: it computes the long-run factor and
+the matrix draws of a built-in spec, or a custom spec's Gamma_0..Gamma_H stack,
+dense reference and factor, and their draws.  With at least 2 usable CPUs, and
+when both lanes' estimated peaks fit model.MEMORY_BUDGET together, the lane
+runs on a helper thread while the cell simulates (numpy releases the GIL in
+the draws, FFTs and einsum), so the cell's peak memory is the sum of the two;
+otherwise it runs on the calling thread after the simulation.  Each lane draws
+from its own seed and scoring stays on the calling thread, so the outputs do
+not depend on which way the lanes ran.
+
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
 kept on the returned results but written to the results CSV as 0, because
@@ -27,11 +39,14 @@ that file is required to be replay-deterministic.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Integral, Real
 from os import PathLike
 from pathlib import Path
@@ -39,21 +54,31 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import model
 from .bootstrap import DefaultBlocks, FixedBlocks, TheoreticalBlocks, resolve_block_length
 from .errors import LrdcovError
 from .estimate import max_deviation, sample_covariance, sample_precision
-from .gaussref import MatrixReference, build_reference, sample_max_abs
+from .gaussref import _CHUNK_ELEMENTS, MatrixReference, build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
-from .model import (CoefficientSpec, _check_dense_cap, _long_run_factor,
-                    autocovariance_sequence, banded_spec, gaussian_long_run_covariance,
-                    omega_transformed_long_run, process_truth, template, toeplitz_spec)
-from .simulate import SimulationPlan, simulate_multidimensional
+from .model import (_REFERENCE_BYTES_PER_P4, CoefficientSpec, ProcessTruth,
+                    _check_dense_cap, _long_run_factor, autocovariance_sequence,
+                    banded_spec, gaussian_long_run_covariance, omega_transformed_long_run,
+                    process_truth, template, toeplitz_spec)
+from .simulate import SimulationPlan, _check_budget, simulate_multidimensional
 
 COV_GA = "cov_ga"
 COV_BOOT = "cov_boot"
 PREC_GA = "prec_ga"
 PREC_BOOT = "prec_boot"
 ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
+
+# Reference-lane peak bytes, within 10% of tracemalloc peaks at p 2-200 and N up to
+# 4e6: 12 per point of the long-run factor's FFT, 32 per element of one chunk of
+# draws, and up to 13 per point and entry of a custom spec's (nfft, p, p + d) lag
+# FFT, rounded up to 16.
+_FACTOR_BYTES_PER_POINT = 12
+_DRAW_BYTES_PER_ELEMENT = 32
+_LAG_BYTES_PER_ELEMENT = 16
 
 RESULTS_HEADER = "n,p,beta,kind,ks,w1,runtime_ms,seed\n"
 SKIPPED_HEADER = "n,p,beta,kind,reason\n"
@@ -169,6 +194,64 @@ def _write_ecdf(path: Path, samples: dict) -> None:
         newline="\n")
 
 
+def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
+                     seeds: dict) -> dict:
+    """The reference lane of a cell: per Gaussian-approximation kind, in ALL_TARGETS
+    order, `replicates` draws of |Z|_inf, or the exception its reference raised.
+
+    It reads the spec and its lag-0 truth alone.  An LrdcovError skips its kind;
+    any other exception ends the lane and is raised where scoring reaches it.
+    """
+    spec, draws = truth.spec, {}
+    if spec.separable and kinds:
+        # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
+        scale, mat = math.sqrt(_long_run_factor(spec)), template(spec)
+    for kind in kinds:
+        prec = kind == PREC_GA
+        try:
+            if spec.separable:
+                ref = MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat)
+                                      if prec else mat, scale)
+            else:
+                if truth.lags < spec.truncation:
+                    # both references read one Gamma_0..Gamma_H stack; sigma and
+                    # omega stay those of the lag-0 call (an FFT-built Gamma_0
+                    # differs in the last bits)
+                    _check_dense_cap(spec.p)
+                    truth = replace(truth, gamma=autocovariance_sequence(
+                        spec, spec.truncation))
+                ref = build_reference(omega_transformed_long_run(truth, None) if prec
+                                      else gaussian_long_run_covariance(truth, None))
+            draws[kind] = sample_max_abs(ref, replicates, seeds[kind])
+        except Exception as exc:
+            draws[kind] = exc
+            if not isinstance(exc, LrdcovError):
+                break
+    return draws
+
+
+def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
+    """Estimated peak bytes of the reference lane, with H = spec.truncation.  A
+    built-in spec: the larger of its long-run factor's FFT over 2^ceil(log2 2H)
+    points and one chunk of draws.  A custom spec: its lag FFT over as many
+    points, its dense reference and one chunk of draws."""
+    p, points = spec.p, 1 << (2 * spec.truncation).bit_length()
+    chunk = min(replicates, max(1, _CHUNK_ELEMENTS // (p * p)))  # as sample_max_abs draws
+    draws = _DRAW_BYTES_PER_ELEMENT * chunk * p * p
+    if spec.separable:
+        return max(_FACTOR_BYTES_PER_POINT * points, draws)
+    return (_REFERENCE_BYTES_PER_P4 * p**4
+            + _LAG_BYTES_PER_ELEMENT * points * p * (p + spec.d) + draws)
+
+
+def _overlaps(plan: SimulationPlan, reference_bytes: int) -> bool:
+    """Run the reference lane beside the simulation: at least 2 usable CPUs, and
+    both lanes' peaks fit model.MEMORY_BUDGET together."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2 and plan.peak_bytes + reference_bytes <= model.MEMORY_BUDGET
+
+
 def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
              block_rule=DefaultBlocks(), targets: Sequence[str] = ALL_TARGETS,
              seed: int = 0, output_dir: Optional[str] = None,
@@ -179,8 +262,8 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     there (see the module docstring), so the error is centred on the covariance
     of the process actually drawn.  The Gaussian reference samples come from
     the long-run covariance of that process, for the precision targets
-    conjugated by the true Omega.  Targets are drawn and scored one at a time,
-    in ALL_TARGETS order.
+    conjugated by the true Omega; they are drawn in a second lane (see the
+    module docstring).  Targets are scored one at a time, in ALL_TARGETS order.
     """
     targets = tuple(targets)
     for kind in targets:
@@ -199,39 +282,47 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
     plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
                           copies_requested=replicates)
-    X = simulate_multidimensional(plan).data
-    est = sample_covariance(X)
+    _check_budget(plan)  # before the truth, which builds a custom spec's lag stack
     truth = process_truth(spec, lags=0)
-    samples = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
+    # prec_ga is drawn when p < n and Omega exists; if the sample precision then
+    # fails, known only after the simulation, its draws go unused
+    ga_kinds = [k for k in kinds if k == COV_GA
+                or k == PREC_GA and p < n and truth.omega is not None]
+    lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
+                   replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
+    overlap = bool(ga_kinds) and _overlaps(plan, _reference_peak_bytes(spec, replicates))
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
+        helper = pool.submit(lane) if pool else None
+        X = simulate_multidimensional(plan).data
+        est = sample_covariance(X)
+        samples = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
 
-    prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
-    if prec_kinds:
-        reason = None
-        if p >= n:
-            reason = f"precision targets need p < n (p={p}, n={n})"
-        elif truth.omega is None:
-            reason = "true covariance is not invertible"
-        else:
-            try:
-                omega_hats = sample_precision(est)
-            except LrdcovError as exc:
-                reason = f"sample precision failed: {exc}"
-        if reason is None:
-            samples["prec_error"] = max_deviation(omega_hats, truth.omega, n)
-        else:
-            skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
-            kinds = [k for k in kinds if k not in prec_kinds]
+        prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
+        if prec_kinds:
+            reason = None
+            if p >= n:
+                reason = f"precision targets need p < n (p={p}, n={n})"
+            elif truth.omega is None:
+                reason = "true covariance is not invertible"
+            else:
+                try:
+                    omega_hats = sample_precision(est)
+                except LrdcovError as exc:
+                    reason = f"sample precision failed: {exc}"
+            if reason is None:
+                samples["prec_error"] = max_deviation(omega_hats, truth.omega, n)
+            else:
+                skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
+                kinds = [k for k in kinds if k not in prec_kinds]
 
-    # One bootstrap value per copy at a uniformly random window end i in [l, n]:
-    # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the same
-    # for its Omega_hat conjugate; one window serves both statistics.
-    if COV_BOOT in kinds or PREC_BOOT in kinds:
-        ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
-        rows = X[np.arange(replicates)[:, None], ends[:, None] - l + np.arange(l)]
-        dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
-    if spec.separable and (COV_GA in kinds or PREC_GA in kinds):
-        # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
-        scale, mat = math.sqrt(_long_run_factor(spec)), template(spec)
+        # One bootstrap value per copy at a uniformly random window end i in [l, n]:
+        # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the same
+        # for its Omega_hat conjugate; one window serves both statistics.
+        if COV_BOOT in kinds or PREC_BOOT in kinds:
+            ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
+            rows = X[np.arange(replicates)[:, None], ends[:, None] - l + np.arange(l)]
+            dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
+        draws = helper.result() if helper else lane()
 
     scores = []
     for kind in kinds:
@@ -241,25 +332,12 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
             window = omega_hats @ dev @ omega_hats if prec else dev
             approx = np.abs(window).max(axis=(1, 2)) / math.sqrt(l)
         else:
-            try:
-                if spec.separable:
-                    ref = MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat)
-                                          if prec else mat, scale)
-                else:
-                    if truth.lags < spec.truncation:
-                        # both references read one Gamma_0..Gamma_H stack; sigma and
-                        # omega stay those of the lag-0 call (an FFT-built Gamma_0
-                        # differs in the last bits)
-                        _check_dense_cap(p)
-                        truth = replace(truth, gamma=autocovariance_sequence(
-                            spec, spec.truncation))
-                    ref = build_reference(omega_transformed_long_run(truth, None) if prec
-                                          else gaussian_long_run_covariance(truth, None))
-                approx = sample_max_abs(ref, replicates,
-                                        _seed_int(zprec_ss if prec else zcov_ss))
-            except LrdcovError as exc:
-                skipped.append(SkippedTarget(n, p, beta, kind, str(exc)))
+            approx = draws[kind]
+            if isinstance(approx, LrdcovError):
+                skipped.append(SkippedTarget(n, p, beta, kind, str(approx)))
                 continue
+            if isinstance(approx, Exception):
+                raise approx
         samples[kind] = approx
         scores.append((kind, kolmogorov_distance(errors, approx),
                        wasserstein1(errors, approx)))
@@ -288,6 +366,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     scheduling.  The CSV's runtime_ms column is 0 so that reruns are
     byte-identical; the measured runtimes are on the returned CellResults.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     build = parse_structure(config.structure)

@@ -81,6 +81,13 @@ class SampleBatch:
         return self.data.shape[0]
 
 
+def _check_budget(plan: SimulationPlan) -> None:
+    if plan.peak_bytes > model.MEMORY_BUDGET:
+        raise MemoryBudgetError(f"N*d = {plan.N * plan.spec.d} needs an estimated "
+                                f"{plan.peak_bytes} bytes, over the budget of "
+                                f"{model.MEMORY_BUDGET} bytes")
+
+
 def simulate_multidimensional(plan: SimulationPlan) -> SampleBatch:
     """Batch of (copies, n, p) paths drawn from one innovation stream.
 
@@ -90,9 +97,7 @@ def simulate_multidimensional(plan: SimulationPlan) -> SampleBatch:
     estimated peak, plan.peak_bytes, exceeds model.MEMORY_BUDGET.
     """
     spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
-    if plan.peak_bytes > model.MEMORY_BUDGET:
-        raise MemoryBudgetError(f"N*d = {N * d} needs an estimated {plan.peak_bytes} bytes, "
-                                f"over the budget of {model.MEMORY_BUDGET} bytes")
+    _check_budget(plan)
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     stream = rng.standard_normal(N * d).reshape(N, d)
@@ -149,6 +154,8 @@ def load_batch(path) -> SampleBatch:
         if extra:
             raise ValueError("sample-batch file is truncated" if extra < 0 else
                              f"sample-batch file has {extra} trailing bytes after its body")
-        body = fh.read(copies * n * p * 8)
-    data = np.frombuffer(body, dtype="<f8").reshape(copies, n, p).astype(float)
+        data = np.empty((copies, n, p), dtype="<f8")  # read in place: no bytes copy
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError("sample-batch file is truncated")
+    data = data.astype(float, copy=False)  # a no-op on little-endian hosts
     return SampleBatch(data, int(seed), derivation=f"loaded from {path}")

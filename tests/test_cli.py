@@ -161,3 +161,14 @@ def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, key,
     assert done.stderr.startswith(f"lrdcov: error: config key {key!r} must be ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_console_rejects_workers_below_one_in_one_line(tmp_path, workers):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"grid_n": [64], "grid_p": [2], "betas": [2.0],
+                                    "replicates": 10, "output_dir": str(tmp_path / "out")}))
+    done = run_console("experiment", "--config", cfg_path, "--workers", workers)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"lrdcov: error: workers must be at least 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,10 +13,10 @@ import pytest
 
 import lrdcov.harness as harness
 import lrdcov.model as model
-from lrdcov import (ExperimentConfig, FixedBlocks, custom_spec, qq_pairs, run_cell,
-                    run_grid, toeplitz_spec)
-from lrdcov import (EstimateResult, NearSingularError, SimulationPlan, process_truth,
-                    sample_precision, simulate_multidimensional)
+from lrdcov import (ExperimentConfig, FixedBlocks, banded_spec, custom_spec, qq_pairs,
+                    run_cell, run_grid, toeplitz_spec)
+from lrdcov import (EstimateResult, MemoryBudgetError, NearSingularError, SimulationPlan,
+                    process_truth, sample_precision, simulate_multidimensional)
 from lrdcov.bootstrap import _window_maxima
 from lrdcov.harness import ALL_TARGETS, parse_block_rule, parse_structure
 
@@ -463,3 +464,204 @@ def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
     assert all(f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes"
                in s.reason for s in skipped)
     assert calls == [0]  # the lag-0 truth only
+
+
+def test_grid_rejects_workers_below_one(tmp_path):
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_grid(small_config(tmp_path), workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
+def set_cpus(monkeypatch, count):
+    """The CPUs run_cell may use, as os.sched_getaffinity reports them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def record_lane_threads(monkeypatch):
+    """The thread of every Gaussian-reference draw."""
+    threads = []
+    original = harness.sample_max_abs
+
+    def recording(ref, reps, seed):
+        threads.append(threading.current_thread())
+        return original(ref, reps, seed)
+
+    monkeypatch.setattr(harness, "sample_max_abs", recording)
+    return threads
+
+
+def cell_outputs(outdir, results, skipped):
+    return ([(r.kind, r.ks, r.w1) for r in results], skipped,
+            {path.name: path.read_bytes() for path in sorted(outdir.iterdir())})
+
+
+@pytest.mark.parametrize("spec, n", [(toeplitz_spec(2.0, 4), 80), (banded_spec(0.9, 6, 2), 40),
+                                     (toeplitz_spec(0.55, 30), 20),
+                                     (coupled_custom_spec(), 40)],
+                         ids=["toeplitz", "banded", "p-above-n", "custom"])
+def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch, spec, n):
+    threads = record_lane_threads(monkeypatch)
+    outputs = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        threads.clear()
+        before = threading.active_count()
+        outdir = tmp_path / f"cpus{cpus}"
+        outputs[cpus] = cell_outputs(outdir, *run_cell(
+            spec, n=n, replicates=30, seed=8, block_rule=FixedBlocks(6),
+            output_dir=str(outdir)))
+        assert threading.active_count() == before
+        assert threads and all((t is threading.current_thread()) == (cpus == 1)
+                               for t in threads)
+    assert outputs[1] == outputs[2]
+    assert len(outputs[1][2]) == 1 + len(outputs[1][0])  # ECDF + one QQ per result
+
+
+def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
+    spec, n, replicates = toeplitz_spec(2.0, 30), 100, 100
+    N = n * n
+    plan = SimulationPlan(replace(spec, truncation=N - 1), n, seed=0, N=N,
+                          copies_requested=replicates)
+    lane_bytes = harness._reference_peak_bytes(plan.spec, replicates)
+    assert lane_bytes < plan.peak_bytes  # 2.75 MB beside 7.2 MB
+    set_cpus(monkeypatch, 2)
+    threads = record_lane_threads(monkeypatch)
+    outputs = {}
+    for budget in (plan.peak_bytes + lane_bytes, plan.peak_bytes):
+        monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
+        threads.clear()
+        outdir = tmp_path / str(budget)
+        outputs[budget] = cell_outputs(outdir, *run_cell(
+            spec, n=n, replicates=replicates, seed=2, output_dir=str(outdir)))
+        assert all((t is threading.current_thread()) == (budget == plan.peak_bytes)
+                   for t in threads) and len(threads) == 2
+    assert outputs[plan.peak_bytes] == outputs[plan.peak_bytes + lane_bytes]
+
+
+def test_main_lane_failure_joins_the_running_reference_lane(tmp_path, monkeypatch):
+    # the budget drops once the reference lane has started, so the simulation
+    # raises MemoryBudgetError while that lane is still running
+    config = small_config(tmp_path, grid_n=[64], grid_p=[3], targets=ALL_TARGETS)
+    started, raised = threading.Event(), threading.Event()
+    factor, simulate = harness._long_run_factor, harness.simulate_multidimensional
+
+    def late_factor(spec):
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 1000)
+        started.set()
+        assert raised.wait(30)
+        return factor(spec)
+
+    def gated_simulate(plan):
+        assert started.wait(30)
+        try:
+            return simulate(plan)
+        except MemoryBudgetError:
+            raised.set()
+            raise
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_long_run_factor", late_factor)
+    monkeypatch.setattr(harness, "simulate_multidimensional", gated_simulate)
+    before = threading.active_count()
+    assert run_grid(config) == []
+    assert threading.active_count() == before and raised.is_set()
+    skipped = (tmp_path / "out" / "skipped.csv").read_text()
+
+    # the rows of a budget that is short from the start, which no lane outlives
+    monkeypatch.undo()
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 1000)
+    assert run_grid(replace(config, output_dir=str(tmp_path / "short"))) == []
+    assert skipped == (tmp_path / "short" / "skipped.csv").read_text()
+    assert skipped.count("\n") == 1 + len(ALL_TARGETS)
+    assert "over the budget of 1000 bytes" in skipped
+
+
+def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
+    # DimensionTooLargeError from a custom reference, raised on the helper thread
+    p, n = 10, 12
+    mix = np.eye(p) + 0.1 * np.random.default_rng(0).standard_normal((p, p))
+    spec = custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=p, d=p,
+                       truncation=10**6)
+    config = small_config(tmp_path, grid_n=[n], grid_p=[p], betas=[1.5], replicates=n,
+                          block_rule=FixedBlocks(6), targets=ALL_TARGETS)
+    monkeypatch.setattr(harness, "parse_structure", lambda token: lambda beta, p, t: spec)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
+    monkeypatch.setattr(harness, "_reference_peak_bytes", lambda spec, replicates: 0)
+    cap_threads = []
+    check = harness._check_dense_cap
+
+    def recording_check(p):
+        cap_threads.append(threading.current_thread())
+        return check(p)
+
+    monkeypatch.setattr(harness, "_check_dense_cap", recording_check)
+    skipped = {}
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        cap_threads.clear()
+        before = threading.active_count()
+        results = run_grid(replace(config, output_dir=str(tmp_path / f"cpus{cpus}")))
+        assert threading.active_count() == before
+        assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
+        assert all((t is threading.current_thread()) == (cpus == 1) for t in cap_threads)
+        assert len(cap_threads) == 2
+        skipped[cpus] = (tmp_path / f"cpus{cpus}" / "skipped.csv").read_text()
+    assert skipped[2] == skipped[1]
+    assert [line.split(",")[3] for line in skipped[2].splitlines()[1:]] == ["cov_ga", "prec_ga"]
+    assert f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes" in skipped[2]
+
+
+def test_reference_error_is_raised_only_where_scoring_reaches_it(monkeypatch):
+    # a prec_ga reference that fails with a non-package error ends the cell, unless
+    # the precision targets are skipped first, as when each was drawn in turn
+    def boom(truth, n):
+        raise ArithmeticError("forced failure")
+
+    def singular(result):
+        raise NearSingularError("forced failure", condition_estimate=np.inf)
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "omega_transformed_long_run", boom)
+    kwargs = dict(n=40, replicates=10, seed=4, block_rule=FixedBlocks(6))
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="forced failure"):
+        run_cell(coupled_custom_spec(), **kwargs)
+    assert threading.active_count() == before
+    monkeypatch.setattr(harness, "sample_precision", singular)
+    results, skipped = run_cell(coupled_custom_spec(), **kwargs)
+    assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
+    assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
+
+
+def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
+    states = []
+    original = harness.sample_max_abs
+
+    def recording(ref, reps, seed):
+        states.append((threading.current_thread(), np.geterr()["over"]))
+        return original(ref, reps, seed)
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "sample_max_abs", recording)
+    with np.errstate(over="raise"):
+        run_cell(toeplitz_spec(2.0, 3), n=64, replicates=10, seed=3,
+                 block_rule=FixedBlocks(8), targets=("cov_ga", "prec_ga"))
+    assert [state for _, state in states] == ["raise", "raise"]
+    assert all(thread is not threading.current_thread() for thread, _ in states)
+
+
+def test_simulation_budget_fails_before_the_callback_is_read(monkeypatch):
+    # the truth reads a custom spec's whole coefficient stack, so the simulation's
+    # budget is checked before it, as when the simulation came first
+    calls = []
+    mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
+    spec = custom_spec(lambda t: calls.append(t) or (t + 1.0) ** -1.5 * mix, beta=1.5,
+                       p=3, d=3, truncation=10**6)
+    plan = SimulationPlan(replace(spec, truncation=1599), 40, seed=0, N=1600,
+                          copies_requested=40)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", plan.peak_bytes - 1)
+    with pytest.raises(MemoryBudgetError, match=f"estimated {plan.peak_bytes} bytes"):
+        run_cell(spec, n=40, replicates=40, seed=4, block_rule=FixedBlocks(6))
+    assert calls == []

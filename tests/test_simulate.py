@@ -260,6 +260,22 @@ def test_dump_longer_than_its_header_rejected(tmp_path, extra):
         assert np.array_equal(load_batch(path).data, batch.data)
 
 
+def test_load_batch_reads_the_body_in_place(tmp_path):
+    # the body goes straight into the returned array: no bytes copy beside it
+    batch = SampleBatch(np.random.default_rng(8).standard_normal((8, 1000, 50)), 3)
+    path = tmp_path / "batch.lrdsim"
+    save_batch(batch, path)
+    tracemalloc.start()
+    try:
+        loaded = load_batch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.data, batch.data)
+    assert loaded.data.dtype == np.float64 and loaded.data.flags.writeable
+    assert peak <= 1.1 * batch.data.nbytes
+
+
 @pytest.mark.parametrize("n, p, copies", [(2**64 - 1,) * 3, (2**20, 2**20, 4),
                                           (2**61, 1, 1), (0, 5, 3), (2**64 - 1, 1, 0),
                                           (2**40, 2**40, 0)])
