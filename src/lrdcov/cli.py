@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,8 +73,8 @@ def _cmd_bootstrap_ci(args) -> int:
     else:
         center = est.sigma_hat
         dist = covariance_blocks(subject.data, l)
+    region = confidence_region(center, dist, n, args.alpha)  # checks alpha first
     q_hat = quantile(dist, 1.0 - args.alpha)
-    region = confidence_region(center, dist, n, args.alpha)
     print(json.dumps({
         "n": n, "p": p, "l": l, "kind": args.kind, "alpha": args.alpha,
         "quantile": q_hat,
@@ -82,9 +83,18 @@ def _cmd_bootstrap_ci(args) -> int:
     return 0
 
 
+def _load_sample(path: str) -> np.ndarray:
+    """One value per line; an empty file is an error that names it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+        values = np.loadtxt(path, ndmin=1)
+    if values.size == 0:
+        raise ValueError(f"sample file {path} holds no values")
+    return values
+
+
 def _cmd_metrics(args) -> int:
-    a = np.loadtxt(args.a, ndmin=1)
-    b = np.loadtxt(args.b, ndmin=1)
+    a, b = _load_sample(args.a), _load_sample(args.b)
     report = distance_report(a, b)
     print(json.dumps({
         "kolmogorov": report.kolmogorov, "wasserstein1": report.wasserstein1,

@@ -19,17 +19,25 @@ cell draws it in that matrix form: no p^2 x p^2 matrix, no eigh, and draws
 that do not depend on the BLAS thread count.  Custom specs assemble the
 covariance and factor it.
 
-A cell runs in two lanes.  The calling thread simulates the copies, estimates
-Sigma_hat and Omega_hat and forms the bootstrap windows.  The reference lane
-needs only the spec and its lag-0 truth: it computes the long-run factor and
-the matrix draws of a built-in spec, or a custom spec's Gamma_0..Gamma_H stack,
-dense reference and factor, and their draws.  With at least 2 usable CPUs, and
-when both lanes' estimated peaks fit model.MEMORY_BUDGET together, the lane
-runs on a helper thread while the cell simulates (numpy releases the GIL in
-the draws, FFTs and einsum), so the cell's peak memory is the sum of the two;
-otherwise it runs on the calling thread after the simulation.  Each lane draws
-from its own seed and scoring stays on the calling thread, so the outputs do
-not depend on which way the lanes ran.
+A cell runs in two lanes.  The calling thread simulates the copies and scores
+them per copy: Sigma_hat, Omega_hat, their max-deviations and one bootstrap
+window each.  The reference lane needs only the spec and its lag-0 truth: it
+computes the long-run factor and the matrix draws of a built-in spec, or a
+custom spec's Gamma_0..Gamma_H stack, dense reference and factor, and their
+draws.  With at least 2 usable CPUs, and when both lanes' estimated peaks fit
+model.MEMORY_BUDGET together, the lane runs on a helper thread while the cell
+simulates (numpy releases the GIL in the draws, FFTs, einsum and batched
+linear algebra), so the cell's peak memory is the sum of the two; otherwise it
+runs on the calling thread after the simulation.  The per-copy statistics come
+in blocks of copies, whose (copies, p, p) stacks die with the block: with a
+helper, the first half of the copies is queued behind its lane while the
+calling thread scores the second half, and a first half the helper has not
+started by then is taken back and scored inline; without one, all copies form
+one block.  Each lane draws from its own seed, every batched call treats each
+copy on its own and scoring stays on the calling thread, so the outputs do not
+depend on which way the lanes ran.  One DEBUG record per cell, under the
+"lrdcov.harness" logger, gives the wall time of each phase and which thread
+ran each block.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
@@ -40,13 +48,16 @@ that file is required to be replay-deterministic.
 from __future__ import annotations
 
 import contextvars
+import logging
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from numbers import Integral, Real
 from os import PathLike
 from pathlib import Path
@@ -79,6 +90,8 @@ ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
 _FACTOR_BYTES_PER_POINT = 12
 _DRAW_BYTES_PER_ELEMENT = 32
 _LAG_BYTES_PER_ELEMENT = 16
+
+_log = logging.getLogger(__name__)
 
 RESULTS_HEADER = "n,p,beta,kind,ks,w1,runtime_ms,seed\n"
 SKIPPED_HEADER = "n,p,beta,kind,reason\n"
@@ -181,17 +194,20 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _rows(fmt: str, points) -> str:
+    """One line of `fmt` per pair in `points`, formatted by one % over all of them."""
+    return (fmt * len(points)) % tuple(chain.from_iterable(points))
+
+
 def _write_qq(path: Path, approx, errors, q: int) -> None:
-    path.write_text("x,y\n" + "".join(f"{x:.10g},{y:.10g}\n"
-                                       for x, y in qq_pairs(approx, errors, q)),
+    path.write_text("x,y\n" + _rows("%.10g,%.10g\n", qq_pairs(approx, errors, q)),
                     newline="\n")
 
 
 def _write_ecdf(path: Path, samples: dict) -> None:
     path.write_text("value,statistic,F\n" + "".join(
-        f"{value:.10g},{label},{level:.10g}\n"
-        for label, sample in samples.items() for value, level in ecdf_points(sample)),
-        newline="\n")
+        _rows(f"%.10g,{label},%.10g\n", ecdf_points(sample))
+        for label, sample in samples.items()), newline="\n")
 
 
 def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
@@ -228,6 +244,46 @@ def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
             if not isinstance(exc, LrdcovError):
                 break
     return draws
+
+
+def _copy_block(X: np.ndarray, ends: np.ndarray, truth: ProcessTruth, l: int, prec: bool,
+                boots: Sequence[str], lo: int, hi: int) -> dict:
+    """Per-copy statistics of copies lo:hi of X (R, n, p), by label: "cov_error",
+    and "prec_error" when `prec`, the scaled max-deviations of Sigma_hat and
+    Omega_hat; and each bootstrap kind in `boots`, one window per copy ending at
+    `ends` (PREC_BOOT only with `prec`).  A failing sample precision leaves its
+    LrdcovError under "prec_error" and no PREC_BOOT.  Every batched call treats
+    each copy on its own, so a block holds the values the whole stack would,
+    and its (hi - lo, p, p) stacks die with it.
+    """
+    n = X.shape[1]
+    est = sample_covariance(X[lo:hi])
+    stats = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
+    if boots:
+        # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the
+        # same for its Omega_hat conjugate; one window serves both statistics
+        rows = X[np.arange(lo, hi)[:, None], ends[lo:hi, None] - l + np.arange(l)]
+        dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
+        if COV_BOOT in boots:
+            stats[COV_BOOT] = np.abs(dev).max(axis=(1, 2)) / math.sqrt(l)
+    if prec:
+        try:
+            omega_hats = sample_precision(est)
+        except LrdcovError as exc:
+            stats["prec_error"] = exc
+            return stats
+        stats["prec_error"] = max_deviation(omega_hats, truth.omega, n)
+        if PREC_BOOT in boots:
+            window = omega_hats @ dev @ omega_hats
+            stats[PREC_BOOT] = np.abs(window).max(axis=(1, 2)) / math.sqrt(l)
+    return stats
+
+
+def _timed(fn, *args):
+    """fn(*args), the name of the thread that ran it and its wall seconds."""
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, threading.current_thread().name, time.perf_counter() - start
 
 
 def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
@@ -284,53 +340,63 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                           copies_requested=replicates)
     _check_budget(plan)  # before the truth, which builds a custom spec's lag stack
     truth = process_truth(spec, lags=0)
-    # prec_ga is drawn when p < n and Omega exists; if the sample precision then
+    prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
+    reason = (f"precision targets need p < n (p={p}, n={n})" if p >= n
+              else "true covariance is not invertible" if truth.omega is None else None)
+    # prec_ga is drawn unless a reason skips it now; if the sample precision then
     # fails, known only after the simulation, its draws go unused
-    ga_kinds = [k for k in kinds if k == COV_GA
-                or k == PREC_GA and p < n and truth.omega is not None]
+    ga_kinds = [k for k in kinds if k == COV_GA or k == PREC_GA and reason is None]
+    boots = [k for k in kinds if k == COV_BOOT or k == PREC_BOOT and reason is None]
     lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
                    replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
-    overlap = bool(ga_kinds) and _overlaps(plan, _reference_peak_bytes(spec, replicates))
-    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
-        helper = pool.submit(lane) if pool else None
+    overlap = _overlaps(plan, _reference_peak_bytes(spec, replicates) if ga_kinds else 0)
+    with ThreadPoolExecutor(1, "lrdcov-helper") if overlap else nullcontext() as pool:
+        helper = pool.submit(_timed, lane) if pool else None
+        sim_s = time.perf_counter()
         X = simulate_multidimensional(plan).data
-        est = sample_covariance(X)
-        samples = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
+        sim_s = time.perf_counter() - sim_s
+        ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
+        block = partial(_copy_block, X, ends, truth, l, bool(prec_kinds) and reason is None,
+                        boots)
+        # The helper takes copies [0, R/2) once its lane is done, while this thread
+        # runs [R/2, R); a first half the helper has not started by then is taken
+        # back and run here, so a long lane never holds the cell up.
+        half = replicates // 2 if pool else 0
+        first = (pool.submit(contextvars.copy_context().run, _timed, block, 0, half)
+                 if half else None)
+        try:
+            blocks = [_timed(block, half, replicates)]
+        finally:
+            if first is not None and first.cancel():
+                first = None
+        if half:
+            blocks.insert(0, first.result() if first else _timed(block, 0, half))
+        draws, lane_thread, lane_s = helper.result() if helper else _timed(lane)
 
-        prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
-        if prec_kinds:
-            reason = None
-            if p >= n:
-                reason = f"precision targets need p < n (p={p}, n={n})"
-            elif truth.omega is None:
-                reason = "true covariance is not invertible"
-            else:
-                try:
-                    omega_hats = sample_precision(est)
-                except LrdcovError as exc:
-                    reason = f"sample precision failed: {exc}"
-            if reason is None:
-                samples["prec_error"] = max_deviation(omega_hats, truth.omega, n)
-            else:
-                skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
-                kinds = [k for k in kinds if k not in prec_kinds]
+    outs = [out for out, _, _ in blocks]
+    failed = [out["prec_error"] for out in outs
+              if isinstance(out.get("prec_error"), LrdcovError)]
+    if failed and len(outs) > 1:
+        # the whole stack names the error of its first failing copy (see _spd_inverse)
+        try:
+            sample_precision(sample_covariance(X))
+        except LrdcovError as exc:
+            failed = [exc]
+    if failed:
+        reason = f"sample precision failed: {failed[0]}"
+    stats = {key: np.concatenate([out[key] for out in outs]) for key in outs[0]
+             if not (failed and key in ("prec_error", PREC_BOOT))}
+    if prec_kinds and reason is not None:
+        skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
+        kinds = [k for k in kinds if k not in prec_kinds]
+    samples = {key: stats[key] for key in ("cov_error", "prec_error") if key in stats}
 
-        # One bootstrap value per copy at a uniformly random window end i in [l, n]:
-        # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the same
-        # for its Omega_hat conjugate; one window serves both statistics.
-        if COV_BOOT in kinds or PREC_BOOT in kinds:
-            ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
-            rows = X[np.arange(replicates)[:, None], ends[:, None] - l + np.arange(l)]
-            dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
-        draws = helper.result() if helper else lane()
-
+    scoring_s = time.perf_counter()
     scores = []
     for kind in kinds:
-        prec = kind in (PREC_GA, PREC_BOOT)
-        errors = samples["prec_error" if prec else "cov_error"]
+        errors = samples["prec_error" if kind in (PREC_GA, PREC_BOOT) else "cov_error"]
         if kind in (COV_BOOT, PREC_BOOT):
-            window = omega_hats @ dev @ omega_hats if prec else dev
-            approx = np.abs(window).max(axis=(1, 2)) / math.sqrt(l)
+            approx = stats[kind]
         else:
             approx = draws[kind]
             if isinstance(approx, LrdcovError):
@@ -341,11 +407,13 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
         samples[kind] = approx
         scores.append((kind, kolmogorov_distance(errors, approx),
                        wasserstein1(errors, approx)))
+    scoring_s = time.perf_counter() - scoring_s
 
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     results = [CellResult(n, p, beta, kind, ks, w1, elapsed_ms, seed)
                for kind, ks, w1 in scores]
 
+    write_s = time.perf_counter()
     if output_dir is not None:
         outdir = Path(output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -356,6 +424,14 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
             if q >= 2:
                 _write_qq(outdir / f"qq_{tag}_{r.kind}.csv", samples[r.kind], errors, q)
         _write_ecdf(outdir / f"ecdf_{tag}.csv", samples)
+    write_s = time.perf_counter() - write_s
+    if _log.isEnabledFor(logging.DEBUG):
+        bounds = [(0, half), (half, replicates)] if half else [(0, replicates)]
+        _log.debug("cell n=%d p=%d beta=%.6g: simulate %.4f s; copies %s; reference "
+                   "lane %.4f s on %s; scoring %.4f s; sidecars %.4f s", n, p, beta, sim_s,
+                   ", ".join(f"{lo}:{hi} {secs:.4f} s on {name}"
+                             for (lo, hi), (_, name, secs) in zip(bounds, blocks)),
+                   lane_s, lane_thread, scoring_s, write_s)
     return results, skipped
 
 

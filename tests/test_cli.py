@@ -172,3 +172,23 @@ def test_console_rejects_workers_below_one_in_one_line(tmp_path, workers):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"lrdcov: error: workers must be at least 1, got {workers}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_console_names_an_empty_sample_file_in_one_line(tmp_path):
+    a = tmp_path / "empty.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("")
+    b.write_text("2.0\n3.0\n")
+    done = run_console("metrics", "--a", a, "--b", b)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"lrdcov: error: sample file {a} holds no values\n"
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0, -0.1])
+def test_console_names_alpha_when_it_is_out_of_range(tmp_path, alpha):
+    data = np.random.default_rng(3).standard_normal((100, 2))
+    path = tmp_path / "subject.csv"
+    np.savetxt(path, data, delimiter=",", header="a,b", comments="")
+    done = run_console("bootstrap-ci", "--data", path, "--alpha", alpha)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "lrdcov: error: alpha must lie in (0, 1)\n"

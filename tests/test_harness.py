@@ -1,7 +1,9 @@
 import itertools
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,8 +15,8 @@ import pytest
 
 import lrdcov.harness as harness
 import lrdcov.model as model
-from lrdcov import (ExperimentConfig, FixedBlocks, banded_spec, custom_spec, qq_pairs,
-                    run_cell, run_grid, toeplitz_spec)
+from lrdcov import (ExperimentConfig, FixedBlocks, banded_spec, custom_spec, ecdf_points,
+                    qq_pairs, run_cell, run_grid, toeplitz_spec)
 from lrdcov import (EstimateResult, MemoryBudgetError, NearSingularError, SimulationPlan,
                     process_truth, sample_precision, simulate_multidimensional)
 from lrdcov.bootstrap import _window_maxima
@@ -406,6 +408,20 @@ def test_sidecar_writers_format(tmp_path):
     assert (tmp_path / "qq.csv").read_text() == "x,y\n" + "".join(
         f"{x:.10g},{y:.10g}\n" for x, y in qq_pairs(a, b, 2))
 
+    # one % over all rows against one f-string per row, on values whose text is
+    # easy to get wrong: ties, negatives, signed zeros, the smallest subnormal
+    odd = np.array([1 / 3, -2.5, 0.0, -0.0, 5e-324, 1e300, -1e300, 1 / 3, -2.5, 7.0])
+    samples = {"cov_error": odd, "cov_ga": -odd[::-1], "prec_boot": np.array([-0.0])}
+    harness._write_ecdf(tmp_path / "odd_ecdf.csv", samples)
+    assert (tmp_path / "odd_ecdf.csv").read_text() == "value,statistic,F\n" + "".join(
+        f"{value:.10g},{label},{level:.10g}\n"
+        for label, sample in samples.items() for value, level in ecdf_points(sample))
+    harness._write_qq(tmp_path / "odd_qq.csv", odd, -odd, 5)
+    assert (tmp_path / "odd_qq.csv").read_text() == "x,y\n" + "".join(
+        f"{x:.10g},{y:.10g}\n" for x, y in qq_pairs(odd, -odd, 5))
+    assert "\n4.940656458e-324,cov_error," in (tmp_path / "odd_ecdf.csv").read_text()
+    assert (tmp_path / "odd_ecdf.csv").read_text().endswith("\n-0,prec_boot,1\n")
+
 
 def coupled_custom_spec():
     mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
@@ -497,26 +513,189 @@ def cell_outputs(outdir, results, skipped):
             {path.name: path.read_bytes() for path in sorted(outdir.iterdir())})
 
 
-@pytest.mark.parametrize("spec, n", [(toeplitz_spec(2.0, 4), 80), (banded_spec(0.9, 6, 2), 40),
-                                     (toeplitz_spec(0.55, 30), 20),
-                                     (coupled_custom_spec(), 40)],
-                         ids=["toeplitz", "banded", "p-above-n", "custom"])
-def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch, spec, n):
+def record_blocks(monkeypatch, hold=True):
+    """(lo, hi, thread) of every copy block.  With `hold`, the calling thread's
+    half of a split cell waits until the helper has started the first half, so
+    the helper is sure to run it."""
+    blocks, started, caller = [], threading.Event(), threading.current_thread()
+    original = harness._copy_block
+
+    def recording(*args):
+        lo, hi = args[-2:]
+        blocks.append((lo, hi, threading.current_thread()))
+        if threading.current_thread() is not caller:
+            started.set()
+        elif hold and lo > 0:
+            assert started.wait(30)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_copy_block", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("spec, n, replicates, targets", [
+    (toeplitz_spec(2.0, 4), 80, 30, ALL_TARGETS), (banded_spec(0.9, 6, 2), 40, 30, ALL_TARGETS),
+    (toeplitz_spec(0.55, 30), 20, 30, ALL_TARGETS), (coupled_custom_spec(), 40, 30, ALL_TARGETS),
+    (toeplitz_spec(2.0, 4), 80, 1, ALL_TARGETS), (toeplitz_spec(2.0, 4), 80, 31, ALL_TARGETS),
+    (toeplitz_spec(2.0, 4), 80, 30, ("cov_boot",)), (toeplitz_spec(0.9, 12), 10, 21, ALL_TARGETS)],
+    ids=["toeplitz", "banded", "p-above-n", "custom", "one-copy", "odd-copies", "cov-boot-only",
+         "p-above-n-odd-copies"])
+def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch, spec, n,
+                                                          replicates, targets):
     threads = record_lane_threads(monkeypatch)
+    blocks = record_blocks(monkeypatch)
+    half = replicates // 2
     outputs = {}
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
         threads.clear()
+        blocks.clear()
         before = threading.active_count()
         outdir = tmp_path / f"cpus{cpus}"
         outputs[cpus] = cell_outputs(outdir, *run_cell(
-            spec, n=n, replicates=30, seed=8, block_rule=FixedBlocks(6),
+            spec, n=n, replicates=replicates, seed=8, block_rule=FixedBlocks(6),
+            targets=targets, output_dir=str(outdir)))
+        assert threading.active_count() == before
+        assert (len(threads) > 0) == ("cov_ga" in targets)
+        assert all((t is threading.current_thread()) == (cpus == 1) for t in threads)
+        if cpus == 1 or half == 0:
+            assert blocks == [(0, replicates, threading.current_thread())]
+        else:  # the helper runs the first half, this thread the second
+            assert sorted((lo, hi) for lo, hi, _ in blocks) == [(0, half), (half, replicates)]
+            assert all((t is threading.current_thread()) == (lo == half)
+                       for lo, _, t in blocks)
+    assert outputs[1] == outputs[2]
+    # the ECDF, and one QQ per result from two copies on
+    assert len(outputs[1][2]) == 1 + len(outputs[1][0]) * (replicates > 1)
+
+
+@pytest.mark.parametrize("poisoned, named", [([(3, "floor")], 3), ([(25, "floor")], 25),
+                                             ([(3, "residual"), (25, "floor")], 25)],
+                         ids=["first-half", "second-half", "both-halves"])
+def test_sample_precision_failing_in_either_half_skips_as_the_whole_stack(
+        tmp_path, monkeypatch, poisoned, named):
+    # each poisoned copy fails one check of the sample precision; a stack, like the
+    # eigh fallback, checks every floor before any residual and names the first
+    # copy that fails, so the first half's residual error must not be reported
+    simulate, precision = harness.simulate_multidimensional, harness.sample_precision
+    n, replicates = 64, 30
+    marked = []
+
+    def recording_simulate(plan):
+        batch = simulate(plan)
+        marked[:] = [(k, check, batch.data[k].T @ batch.data[k] / n) for k, check in poisoned]
+        return batch
+
+    def failing(result):
+        for check in ("floor", "residual"):
+            for sigma in result.sigma_hat:
+                for k, kind, target in marked:
+                    if kind == check and np.allclose(sigma, target, rtol=1e-12, atol=0):
+                        raise NearSingularError(f"copy {k} fails the {check} check", np.inf)
+        return precision(result)
+
+    monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
+    monkeypatch.setattr(harness, "sample_precision", failing)
+    blocks = record_blocks(monkeypatch)
+    config = small_config(tmp_path, grid_n=[n], grid_p=[3], replicates=replicates,
+                          targets=ALL_TARGETS)
+    outputs = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        blocks.clear()
+        before = threading.active_count()
+        outdir = tmp_path / f"cpus{cpus}"
+        results = run_grid(replace(config, output_dir=str(outdir)))
+        assert threading.active_count() == before
+        assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
+        assert len(blocks) == cpus
+        outputs[cpus] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+    assert outputs[1] == outputs[2]
+    assert outputs[2]["skipped.csv"].decode() == "".join(
+        [harness.SKIPPED_HEADER] + [f"64,3,2,{kind},sample precision failed: copy {named} "
+                                    f"fails the floor check\n"
+                                    for kind in ("prec_ga", "prec_boot")])
+
+
+def test_a_held_lane_leaves_both_halves_to_the_calling_thread(tmp_path, monkeypatch):
+    # the lane is held until this thread starts the first half, which it can only
+    # do once it has taken that half back from the helper's queue
+    released, factor = threading.Event(), harness._long_run_factor
+    blocks = record_blocks(monkeypatch, hold=False)
+    original = harness._copy_block
+
+    def releasing(*args):
+        if args[-2] == 0:
+            released.set()
+        return original(*args)
+
+    def held_factor(spec):
+        assert released.wait(30)
+        return factor(spec)
+
+    monkeypatch.setattr(harness, "_copy_block", releasing)
+    monkeypatch.setattr(harness, "_long_run_factor", held_factor)
+    lane_threads = record_lane_threads(monkeypatch)
+    outputs = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        blocks.clear()
+        lane_threads.clear()
+        released.clear()
+        before = threading.active_count()
+        outdir = tmp_path / f"cpus{cpus}"
+        outputs[cpus] = cell_outputs(outdir, *run_cell(
+            toeplitz_spec(2.0, 4), n=80, replicates=30, seed=8, block_rule=FixedBlocks(6),
             output_dir=str(outdir)))
         assert threading.active_count() == before
-        assert threads and all((t is threading.current_thread()) == (cpus == 1)
-                               for t in threads)
+    me = threading.current_thread()
+    assert blocks == [(15, 30, me), (0, 15, me)]
+    assert lane_threads and all(t is not me for t in lane_threads)
     assert outputs[1] == outputs[2]
-    assert len(outputs[1][2]) == 1 + len(outputs[1][0])  # ECDF + one QQ per result
+
+
+def test_helper_block_error_propagates_after_the_join(monkeypatch):
+    helpers = []
+    original = harness._copy_block
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            helpers.append(threading.current_thread())
+            raise ArithmeticError("forced failure")
+        return original(*args)
+
+    caller = threading.current_thread()
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_copy_block", failing)
+    record_blocks(monkeypatch)  # the calling thread's half waits for the helper's
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="forced failure"):
+        run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3, block_rule=FixedBlocks(8))
+    assert threading.active_count() == before
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+
+
+def test_cell_logs_one_debug_record_of_its_phase_times(tmp_path, monkeypatch, caplog):
+    pattern = (r"cell n=64 p=3 beta=2: simulate [0-9.]+ s; copies {copies}; "
+               r"reference lane [0-9.]+ s on {lane}; scoring [0-9.]+ s; sidecars [0-9.]+ s")
+    kwargs = dict(n=64, replicates=20, seed=3, block_rule=FixedBlocks(8),
+                  output_dir=str(tmp_path))
+    record_blocks(monkeypatch)
+    for cpus, copies, lane in [
+            (1, r"0:20 [0-9.]+ s on MainThread", "MainThread"),
+            (2, r"0:10 [0-9.]+ s on lrdcov-helper_0, 10:20 [0-9.]+ s on MainThread",
+             "lrdcov-helper_0")]:
+        set_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lrdcov.harness"):
+            run_cell(toeplitz_spec(2.0, 3), **kwargs)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("lrdcov.harness", logging.DEBUG)]
+        assert re.fullmatch(pattern.format(copies=copies, lane=lane),
+                            caplog.records[0].getMessage())
+    caplog.clear()
+    run_cell(toeplitz_spec(2.0, 3), **kwargs)  # nothing below WARNING by default
+    assert caplog.records == []
 
 
 def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
@@ -637,19 +816,25 @@ def test_reference_error_is_raised_only_where_scoring_reaches_it(monkeypatch):
 
 def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
     states = []
-    original = harness.sample_max_abs
+    draw, block = harness.sample_max_abs, harness._copy_block
 
     def recording(ref, reps, seed):
         states.append((threading.current_thread(), np.geterr()["over"]))
-        return original(ref, reps, seed)
+        return draw(ref, reps, seed)
+
+    def recording_block(*args):
+        states.append((threading.current_thread(), np.geterr()["over"]))
+        return block(*args)
 
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "sample_max_abs", recording)
+    monkeypatch.setattr(harness, "_copy_block", recording_block)
+    record_blocks(monkeypatch)  # the helper runs the first half
     with np.errstate(over="raise"):
         run_cell(toeplitz_spec(2.0, 3), n=64, replicates=10, seed=3,
                  block_rule=FixedBlocks(8), targets=("cov_ga", "prec_ga"))
-    assert [state for _, state in states] == ["raise", "raise"]
-    assert all(thread is not threading.current_thread() for thread, _ in states)
+    assert [state for _, state in states] == ["raise"] * 4
+    assert sum(thread is not threading.current_thread() for thread, _ in states) == 3
 
 
 def test_simulation_budget_fails_before_the_callback_is_read(monkeypatch):
