@@ -52,9 +52,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_simulate(args) -> int:
     build = parse_structure(args.structure)
-    truncation = args.N if args.N is not None else args.n * args.n
-    spec = build(args.beta, args.p, truncation)
-    plan = SimulationPlan(spec, args.n, seed=args.seed, N=args.N,
+    if args.n < 1:
+        raise ValueError(f"--n must be positive, got {args.n}")
+    N = args.N if args.N is not None else args.n * max(args.n, args.copies)
+    plan = SimulationPlan(build(args.beta, args.p, N), args.n, seed=args.seed, N=N,
                           copies_requested=args.copies)
     batch = simulate_multidimensional(plan)
     save_batch(batch, args.out)
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--copies", type=int, default=1)
     p_sim.add_argument("--N", type=int, default=None,
-                       help="truncation length (default n^2)")
+                       help="truncation length (default n * max(n, copies))")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ci = sub.add_parser("bootstrap-ci", help="simultaneous confidence band")

@@ -39,30 +39,24 @@ def _singular(message: str, eigvals: np.ndarray) -> NearSingularError:
 
 def _eigh_inverse(sigma: np.ndarray, rel_eig_floor: float,
                   residual_tol: float) -> np.ndarray:
-    """Inverse of each symmetric matrix in `sigma` (..., p, p) via eigendecomposition,
+    """Inverse of one symmetric matrix `sigma` (p, p) via its eigendecomposition,
     symmetrised as the LU inverse of `_spd_inverse` is.
 
-    Raises NearSingularError for the first matrix whose smallest eigenvalue is
-    at or below `rel_eig_floor` times its largest diagonal entry, or whose
-    residual |Omega Sigma - I|_inf exceeds `residual_tol`.
+    Raises NearSingularError when its smallest eigenvalue is at or below
+    `rel_eig_floor` times its largest diagonal entry, or else when its residual
+    |Omega Sigma - I|_inf exceeds `residual_tol`.
     """
-    p = sigma.shape[-1]
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    spectra = eigvals.reshape(-1, p)
-    floor = np.ravel(rel_eig_floor * sigma.diagonal(axis1=-2, axis2=-1).max(axis=-1))
-    low = spectra[:, 0] <= floor
-    if low.any():
-        k = low.argmax()
-        raise _singular(f"smallest eigenvalue {spectra[k, 0]:.3e} at or below floor "
-                        f"{floor[k]:.3e}", spectra[k])
-    omega = (eigvecs / eigvals[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
-    omega = (omega + np.swapaxes(omega, -1, -2)) / 2.0
-    resid = np.ravel(np.abs(omega @ sigma - np.eye(p)).max(axis=(-2, -1)))
-    high = resid > residual_tol
-    if high.any():
-        k = high.argmax()
-        raise _singular(f"inversion residual {resid[k]:.3e} exceeds {residual_tol:.1e}",
-                        spectra[k])
+    floor = rel_eig_floor * sigma.diagonal().max()
+    if eigvals[0] <= floor:
+        raise _singular(f"smallest eigenvalue {eigvals[0]:.3e} at or below floor "
+                        f"{floor:.3e}", eigvals)
+    omega = (eigvecs / eigvals) @ eigvecs.T
+    omega = (omega + omega.T) / 2.0
+    resid = np.abs(omega @ sigma - np.eye(len(sigma))).max()
+    if resid > residual_tol:
+        raise _singular(f"inversion residual {resid:.3e} exceeds {residual_tol:.1e}",
+                        eigvals)
     return omega
 
 
@@ -74,25 +68,29 @@ def _spd_inverse(sigma: np.ndarray, rel_eig_floor: float,
     batched LU inverse, symmetrised, inverts it.  A matrix keeps that inverse
     when 1/tr(Omega), a lower bound on its smallest eigenvalue, is above
     `rel_eig_floor` times its largest diagonal entry and its residual
-    |Omega Sigma - I|_inf is at most `residual_tol`.  Every other matrix, and
-    the whole stack when any Cholesky or LU factorisation fails, goes through
-    `_eigh_inverse`, which raises NearSingularError for the first matrix that
-    fails its eigenvalue floor or the residual tolerance.  Each matrix is
-    handled alone, so a stack gives what each of its matrices gives on its own.
+    |Omega Sigma - I|_inf is at most `residual_tol`.  Every other matrix goes
+    through `_eigh_inverse` alone, in stack order; when any Cholesky or LU
+    factorisation fails, each matrix of the stack starts over on its own.  So a
+    stack returns what each of its matrices returns on its own, and raises the
+    NearSingularError of its first failing matrix in C order.
     """
     p = sigma.shape[-1]
     try:
         np.linalg.cholesky(sigma)
         omega = np.linalg.inv(sigma)
     except np.linalg.LinAlgError:
-        return _eigh_inverse(sigma, rel_eig_floor, residual_tol)
+        if sigma.ndim == 2:
+            return _eigh_inverse(sigma, rel_eig_floor, residual_tol)
+        return np.array([_spd_inverse(s, rel_eig_floor, residual_tol)
+                         for s in sigma.reshape(-1, p, p)]).reshape(sigma.shape)
     omega = (omega + np.swapaxes(omega, -1, -2)) / 2.0
     floor = rel_eig_floor * sigma.diagonal(axis1=-2, axis2=-1).max(axis=-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         resid = np.abs(omega @ sigma - np.eye(p)).max(axis=(-2, -1))
         ok = (1.0 / np.trace(omega, axis1=-2, axis2=-1) > floor) & (resid <= residual_tol)
     if not ok.all():
-        omega[~ok] = _eigh_inverse(sigma[~ok], rel_eig_floor, residual_tol)
+        for idx in map(tuple, np.argwhere(~ok)):
+            omega[idx] = _eigh_inverse(sigma[idx], rel_eig_floor, residual_tol)
     return omega
 
 

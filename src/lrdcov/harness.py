@@ -101,7 +101,7 @@ SKIPPED_HEADER = "n,p,beta,kind,reason\n"
 _FIELD_TYPES = {"grid_n": (Integral, "positive integers"),
                 "grid_p": (Integral, "positive integers"),
                 "betas": (Real, "positive numbers"), "targets": (str, "strings"),
-                "structure": (str, "a string"), "seed": (Integral, "an integer"),
+                "structure": (str, "a string"), "seed": (Integral, "a non-negative integer"),
                 "replicates": (Integral, "a positive integer"),
                 "output_dir": ((str, PathLike), "a path"),
                 "block_rule": ((DefaultBlocks, FixedBlocks, TheoreticalBlocks),
@@ -130,6 +130,7 @@ class ExperimentConfig:
             if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
                     or any(not isinstance(v, kind) or isinstance(v, bool)
                            or key in _POSITIVE_FIELDS and not v > 0
+                           or key == "seed" and v < 0
                            for v in (value if listed else [value]))):
                 raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
                                  f"{name}, got {value!r}")
@@ -251,9 +252,10 @@ def _copy_block(X: np.ndarray, ends: np.ndarray, truth: ProcessTruth, l: int, pr
     """Per-copy statistics of copies lo:hi of X (R, n, p), by label: "cov_error",
     and "prec_error" when `prec`, the scaled max-deviations of Sigma_hat and
     Omega_hat; and each bootstrap kind in `boots`, one window per copy ending at
-    `ends` (PREC_BOOT only with `prec`).  A failing sample precision leaves its
-    LrdcovError under "prec_error" and no PREC_BOOT.  Every batched call treats
-    each copy on its own, so a block holds the values the whole stack would,
+    `ends` (PREC_BOOT only with `prec`).  A failing sample precision leaves the
+    LrdcovError of the block's first failing copy under "prec_error" and no
+    PREC_BOOT.  Every batched call treats each copy on its own, so a block holds
+    the values, and names the error, that the whole stack would for its copies,
     and its (hi - lo, p, p) stacks die with it.
     """
     n = X.shape[1]
@@ -376,12 +378,6 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     outs = [out for out, _, _ in blocks]
     failed = [out["prec_error"] for out in outs
               if isinstance(out.get("prec_error"), LrdcovError)]
-    if failed and len(outs) > 1:
-        # the whole stack names the error of its first failing copy (see _spd_inverse)
-        try:
-            sample_precision(sample_covariance(X))
-        except LrdcovError as exc:
-            failed = [exc]
     if failed:
         reason = f"sample precision failed: {failed[0]}"
     stats = {key: np.concatenate([out[key] for out in outs]) for key in outs[0]

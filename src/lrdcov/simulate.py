@@ -45,6 +45,8 @@ class SimulationPlan:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidPlanError("series length n must be positive")
+        if not 0 <= self.seed < 2**64:  # the dump header stores it as a u64
+            raise InvalidPlanError(f"seed = {self.seed} outside [0, 2^64)")
         if self.N is None:
             object.__setattr__(self, "N", self.n * self.n)
         if self.N < self.n:
@@ -131,6 +133,8 @@ def save_batch(batch: SampleBatch, path) -> None:
     """Binary dump: magic, little-endian u64 header (n, p, copies, seed), then
     row-major float64 samples per copy."""
     copies, n, p = batch.data.shape
+    if not 0 <= batch.master_seed < 2**64:
+        raise ValueError(f"master_seed = {batch.master_seed} outside [0, 2^64)")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQQQ", n, p, copies, batch.master_seed))

@@ -264,6 +264,8 @@ def test_quantile_examples():
         quantile(dist4, 0.0)
     with pytest.raises(ValueError):
         quantile(dist4, 1.0)
+    with pytest.raises(ValueError, match="empty bootstrap distribution"):
+        quantile(BootstrapDistribution(np.array([]), l=2, kind="covariance"), 0.5)
 
 
 def test_quantile_scan_oracle_and_semantics():
@@ -303,6 +305,8 @@ def test_confidence_region_trivial():
     boundary = center + region.half_width
     assert region.contains(boundary)
     assert not region.contains(boundary + 1e-9)
+    with pytest.raises(ValueError, match="shape mismatch with the region center"):
+        region.contains(np.zeros((3, 3)))
 
     zeros = BootstrapDistribution(np.zeros(10), l=2, kind="covariance")
     degenerate = confidence_region(center, zeros, n, alpha=0.1)
@@ -368,3 +372,5 @@ def test_resolve_block_length_rules():
     assert got == theoretical_block_length(10_000, 10, 1.0, 0.5)
     with pytest.raises(OutOfRegimeError):
         resolve_block_length(TheoreticalBlocks(0.5), 10_000, 10)
+    with pytest.raises(TypeError, match="unknown block rule 'fixed:8'"):
+        resolve_block_length("fixed:8", 1000)

@@ -150,7 +150,9 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path):
                                         ("block_rule", "fixed:0"),
                                         # values that failed without naming the key
                                         ("block_rule", "fixed:x"),
-                                        ("structure", "banded:x")])
+                                        ("structure", "banded:x"),
+                                        # a seed numpy rejects after results.csv is opened
+                                        ("seed", -3)])
 def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, key, value):
     config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,
               "output_dir": str(tmp_path / "out"), key: value}
@@ -192,3 +194,39 @@ def test_console_names_alpha_when_it_is_out_of_range(tmp_path, alpha):
     done = run_console("bootstrap-ci", "--data", path, "--alpha", alpha)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "lrdcov: error: alpha must lie in (0, 1)\n"
+
+
+def simulate_args(out, **options):
+    args = {"beta": 2.0, "n": 10, "p": 2, "seed": 7, "out": out, **options}
+    return [token for key, value in args.items() for token in (f"--{key}", value)]
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"seed": 2**64}, "seed = 18446744073709551616 outside [0, 2^64)"),
+    ({"seed": -1}, "seed = -1 outside [0, 2^64)"),
+    ({"n": 0}, "--n must be positive, got 0"),
+    ({"n": -4}, "--n must be positive, got -4")],
+    ids=["seed-2^64", "seed--1", "n-0", "n--4"])
+def test_console_rejects_a_bad_simulation_option_in_one_line(tmp_path, options, message):
+    out = tmp_path / "batch.lrdsim"
+    done = run_console("simulate", *simulate_args(out, **options))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"lrdcov: error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_draws_more_copies_than_n_by_default(tmp_path, capsys):
+    # the default N is n * max(n, copies), the length run_cell draws for as many copies
+    out = tmp_path / "batch.lrdsim"
+    assert main(["simulate", *map(str, simulate_args(out, copies=20))]) == 0
+    assert load_batch(out).data.shape == (20, 10, 2)
+    assert "20 copies" in capsys.readouterr().out
+
+
+def test_simulate_defaults_to_n_squared_up_to_n_copies(tmp_path):
+    for copies in (1, 10):
+        default, explicit = tmp_path / f"default{copies}", tmp_path / f"explicit{copies}"
+        assert main(["simulate", *map(str, simulate_args(default, copies=copies))]) == 0
+        assert main(["simulate", *map(str, simulate_args(explicit, copies=copies,
+                                                         N=100))]) == 0
+        assert default.read_bytes() == explicit.read_bytes()

@@ -181,7 +181,7 @@ def test_spd_inverse_matches_the_eigh_oracle(p, log_kappa, copies, log_scale, se
                            10.0 ** log_scale)
     tols = (estimate._REL_EIG_FLOOR, estimate._RESIDUAL_TOL)
     try:
-        oracle = estimate._eigh_inverse(stack, *tols)
+        oracle = np.array([estimate._eigh_inverse(sigma, *tols) for sigma in stack])
     except NearSingularError:
         oracle = None
     if log_kappa <= 4.0:
@@ -258,7 +258,7 @@ def test_spd_inverse_raises_what_the_eigh_path_raises(case, floor, tol, position
         stack[position] = rank_deficient(rng, p)
     else:
         stack[position] = np.diag(np.arange(p, dtype=float))
-    expected = raised(estimate._eigh_inverse, stack, floor, tol)
+    expected = raised(estimate._eigh_inverse, stack[position], floor, tol)
     assert raised(estimate._spd_inverse, stack, floor, tol) == expected
     # the same copy fails on its own, and the rest of the stack inverts
     assert raised(estimate._spd_inverse, stack[position], floor, tol) == expected
@@ -278,3 +278,118 @@ def test_sample_precision_of_a_well_conditioned_stack_runs_no_eigh(monkeypatch):
     est = sample_covariance(X)
     omegas = sample_precision(est)
     assert max_residual(omegas, est.sigma_hat).max() <= estimate._RESIDUAL_TOL
+
+
+TOLS = (estimate._REL_EIG_FLOOR, estimate._RESIDUAL_TOL)
+MEMBERS = ("good", "below_floor", "rank_one", "indefinite", "residual", "singular")
+
+
+def member(rng, kind, p):
+    """One p x p matrix of `kind`: well conditioned ("good"), or built for
+    _spd_inverse to reject at TOLS."""
+    if kind == "good":
+        return random_spd_stack(rng, (), p)
+    if kind == "below_floor":
+        return below_floor(rng, p, TOLS[0])
+    if kind == "rank_one":
+        v = rng.standard_normal(p)
+        return np.outer(v, v)
+    if kind == "indefinite":
+        return indefinite(rng, p)
+    if kind == "residual":
+        return spectral_stack(rng, 1, p, 1e11)[0]  # kappa 1e11
+    return np.diag(np.arange(p, dtype=float))  # exactly singular
+
+
+def alone(sigma):
+    """What _spd_inverse gives `sigma` on its own: its inverse or its error."""
+    try:
+        return estimate._spd_inverse(sigma, *TOLS)
+    except NotInvertibleError as exc:
+        return exc
+
+
+def member_layout(shape):
+    """A stack shape and the kind of each of its members, in C order."""
+    count = int(np.prod(shape))
+    return st.tuples(st.just(shape), st.lists(st.sampled_from(MEMBERS), min_size=count,
+                                              max_size=count))
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=st.one_of(st.tuples(st.integers(1, 6)),
+                        st.tuples(st.integers(1, 3), st.integers(1, 3))).flatmap(member_layout),
+       p=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+@example(layout=((4,), ["good", "residual", "good", "rank_one"]), p=6, seed=12)
+def test_a_stack_gives_what_each_member_gives_alone(layout, p, seed):
+    # each member is decided alone, so a residual failure is named before a later
+    # floor failure
+    shape, kinds = layout
+    rng = np.random.default_rng(seed)
+    stack = np.array([member(rng, kind, p) for kind in kinds]).reshape(*shape, p, p)
+    outcomes = [alone(stack[idx]) for idx in np.ndindex(shape)]
+    failures = [out for out in outcomes if isinstance(out, Exception)]
+    if not failures:
+        omega = estimate._spd_inverse(stack, *TOLS)
+        assert all(np.array_equal(omega[idx], out)
+                   for idx, out in zip(np.ndindex(shape), outcomes))
+        return
+    first = failures[0]  # in C order
+    assert raised(estimate._spd_inverse, stack, *TOLS) == (
+        type(first), str(first), first.smallest_eigenvalue)
+
+
+def record_eigh_inverse(monkeypatch):
+    """Every matrix _spd_inverse sends to _eigh_inverse."""
+    calls, original = [], estimate._eigh_inverse
+
+    def recording(sigma, *tols):
+        calls.append(sigma.copy())
+        return original(sigma, *tols)
+
+    monkeypatch.setattr(estimate, "_eigh_inverse", recording)
+    return calls
+
+
+def test_eigh_fallback_runs_once_per_rejected_member(monkeypatch):
+    rng = np.random.default_rng(14)
+    p = 6
+    stack = random_spd_stack(rng, (2, 3), p)
+    calls = record_eigh_inverse(monkeypatch)
+    certified = estimate._spd_inverse(stack, *TOLS)
+    assert calls == []
+    # eigenvalues 1 and 1.5e-12: above the floor, but 1/tr(Omega) = 3e-13 is not
+    stack[1, 0] = np.diag([1.0] + [1.5e-12] * (p - 1))
+    omega = estimate._spd_inverse(stack, *TOLS)
+    assert len(calls) == 1 and np.array_equal(calls[0], stack[1, 0])
+    assert np.allclose(omega[1, 0], np.diag([1.0] + [1.0 / 1.5e-12] * (p - 1)),
+                       rtol=1e-14, atol=0)
+    keep = np.ones((2, 3), bool)
+    keep[1, 0] = False
+    assert np.array_equal(omega[keep], certified[keep])
+
+
+def test_a_failed_batched_cholesky_keeps_each_certified_lu_inverse(monkeypatch):
+    rng = np.random.default_rng(15)
+    p = 5
+    stack = random_spd_stack(rng, (4,), p)
+    certified = estimate._spd_inverse(stack, *TOLS)
+    stack[3] = indefinite(rng, p)  # the batched Cholesky fails on the last member
+    calls = record_eigh_inverse(monkeypatch)
+    expected = raised(estimate._spd_inverse, stack[3], *TOLS)
+    calls.clear()
+    assert raised(estimate._spd_inverse, stack, *TOLS) == expected
+    assert len(calls) == 1 and np.array_equal(calls[0], stack[3])
+
+    # a batched Cholesky that fails while every member's own succeeds
+    cholesky = np.linalg.cholesky
+
+    def stack_refusing(a):
+        if a.ndim > 2:
+            raise np.linalg.LinAlgError("forced failure")
+        return cholesky(a)
+
+    monkeypatch.setattr(estimate.np.linalg, "cholesky", stack_refusing)
+    calls.clear()
+    assert np.array_equal(estimate._spd_inverse(stack[:3], *TOLS), certified[:3])
+    assert calls == []

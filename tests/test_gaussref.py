@@ -160,3 +160,9 @@ def test_matrix_draws_do_not_depend_on_chunking(monkeypatch):
     whole = sample_max_abs(ref, 50, seed=2)
     monkeypatch.setattr(gaussref, "_CHUNK_ELEMENTS", 9 * 7)  # 7 draws per chunk
     assert np.array_equal(sample_max_abs(ref, 50, seed=2), whole)
+
+
+@pytest.mark.parametrize("cov", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+def test_build_reference_rejects_a_non_square_matrix(cov):
+    with pytest.raises(ValueError, match="covariance must be a square matrix"):
+        build_reference(cov)

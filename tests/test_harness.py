@@ -215,6 +215,10 @@ def test_unknown_target_is_rejected_with_the_config(tmp_path):
     with pytest.raises(ValueError, match="cov_bootstrap"):
         small_config(tmp_path, targets=("cov_ga", "cov_bootstrap"))
     assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="unknown target 'cov_bootstrap'"):
+        run_cell(toeplitz_spec(2.0, 2), n=64, targets=("cov_ga", "cov_bootstrap"),
+                 output_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_whole_cell_failure_skips_each_target_once_in_order(tmp_path):
@@ -569,17 +573,17 @@ def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch,
     assert len(outputs[1][2]) == 1 + len(outputs[1][0]) * (replicates > 1)
 
 
-@pytest.mark.parametrize("poisoned, named", [([(3, "floor")], 3), ([(25, "floor")], 25),
-                                             ([(3, "residual"), (25, "floor")], 25)],
-                         ids=["first-half", "second-half", "both-halves"])
-def test_sample_precision_failing_in_either_half_skips_as_the_whole_stack(
+@pytest.mark.parametrize("poisoned, named", [
+    ([(3, "floor")], (3, "floor")), ([(25, "floor")], (25, "floor")),
+    ([(3, "residual"), (25, "floor")], (3, "residual"))],
+    ids=["first-half", "second-half", "both-halves"])
+def test_a_failing_sample_precision_skips_with_the_first_failing_copy(
         tmp_path, monkeypatch, poisoned, named):
-    # each poisoned copy fails one check of the sample precision; a stack, like the
-    # eigh fallback, checks every floor before any residual and names the first
-    # copy that fails, so the first half's residual error must not be reported
+    # each poisoned copy fails one check of the sample precision, which decides
+    # copy by copy, so the cell names its first failing copy whichever half holds it
     simulate, precision = harness.simulate_multidimensional, harness.sample_precision
     n, replicates = 64, 30
-    marked = []
+    marked, stacks = [], []
 
     def recording_simulate(plan):
         batch = simulate(plan)
@@ -587,11 +591,11 @@ def test_sample_precision_failing_in_either_half_skips_as_the_whole_stack(
         return batch
 
     def failing(result):
-        for check in ("floor", "residual"):
-            for sigma in result.sigma_hat:
-                for k, kind, target in marked:
-                    if kind == check and np.allclose(sigma, target, rtol=1e-12, atol=0):
-                        raise NearSingularError(f"copy {k} fails the {check} check", np.inf)
+        stacks.append(len(result.sigma_hat))
+        for sigma in result.sigma_hat:
+            for k, check, target in marked:
+                if np.allclose(sigma, target, rtol=1e-12, atol=0):
+                    raise NearSingularError(f"copy {k} fails the {check} check", np.inf)
         return precision(result)
 
     monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
@@ -603,17 +607,20 @@ def test_sample_precision_failing_in_either_half_skips_as_the_whole_stack(
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
         blocks.clear()
+        stacks.clear()
         before = threading.active_count()
         outdir = tmp_path / f"cpus{cpus}"
         results = run_grid(replace(config, output_dir=str(outdir)))
         assert threading.active_count() == before
         assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
         assert len(blocks) == cpus
+        # one call per block, never one on the whole stack
+        assert sorted(stacks) == ([replicates] if cpus == 1 else [15, 15])
         outputs[cpus] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
     assert outputs[1] == outputs[2]
     assert outputs[2]["skipped.csv"].decode() == "".join(
-        [harness.SKIPPED_HEADER] + [f"64,3,2,{kind},sample precision failed: copy {named} "
-                                    f"fails the floor check\n"
+        [harness.SKIPPED_HEADER] + [f"64,3,2,{kind},sample precision failed: copy {named[0]} "
+                                    f"fails the {named[1]} check\n"
                                     for kind in ("prec_ga", "prec_boot")])
 
 

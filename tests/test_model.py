@@ -529,3 +529,20 @@ def test_spec_validation_errors():
         banded_spec(2.0, 3, bandwidth=0)
     with pytest.raises(ValueError):
         CoefficientSpec("toeplitz", 2.0, 3, 2, 100)  # d != p
+    for args, message in [(("ar1", 2.0, 2, 2, 10), "unknown structure 'ar1'"),
+                          (("toeplitz", 2.0, 0, 2, 10), "dimensions must be positive"),
+                          (("toeplitz", 2.0, 2, 2, 0), "truncation must be positive"),
+                          (("custom", 2.0, 2, 2, 10), "custom structure requires a callback")]:
+        with pytest.raises(ValueError, match=message):
+            CoefficientSpec(*args)
+    custom = custom_spec(lambda t: np.eye(2), beta=2.0, p=2, d=2, truncation=10)
+    with pytest.raises(ValueError, match="custom specs have no separable template"):
+        model.template(custom)
+
+
+def test_long_run_and_rates_reject_n_below_one():
+    truth = process_truth(toeplitz_spec(2.0, 2, truncation=10), lags=0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        gaussian_long_run_covariance(truth, 0)
+    with pytest.raises(ValueError, match="n and p must be positive"):
+        theoretical_rates(2.0, 0, 3, 0.5)

@@ -141,6 +141,8 @@ def test_plan_validation():
         SimulationPlan(spec, n=100, seed=0, N=50)
     with pytest.raises(InvalidPlanError):
         SimulationPlan(spec, n=10, seed=0, N=100, copies_requested=11)
+    with pytest.raises(InvalidPlanError, match="series length n must be positive"):
+        SimulationPlan(spec, n=0, seed=0)
     plan = SimulationPlan(spec, n=10, seed=0)
     assert plan.N == 100
     assert plan.copies_requested == 10
@@ -288,4 +290,26 @@ def test_header_claiming_more_than_the_file_is_rejected_unread(tmp_path, n, p, c
     message = ("sample-batch file is truncated" if n * p * copies else
                f"sample-batch header has a zero dimension: n = {n}, p = {p}, copies = {copies}")
     with pytest.raises(ValueError, match=message):
+        load_batch(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_plan_rejects_a_seed_the_dump_header_cannot_hold(seed):
+    with pytest.raises(InvalidPlanError, match=rf"seed = {seed} outside \[0, 2\^64\)"):
+        SimulationPlan(toeplitz_spec(2.0, 1), n=10, seed=seed)
+    SimulationPlan(toeplitz_spec(2.0, 1), n=10, seed=2**64 - 1)  # the largest u64
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_save_batch_rejects_an_out_of_range_seed_before_opening_the_file(tmp_path, seed):
+    path = tmp_path / "batch.lrdsim"
+    with pytest.raises(ValueError, match=rf"master_seed = {seed} outside \[0, 2\^64\)"):
+        save_batch(SampleBatch(np.zeros((1, 4, 2)), seed), path)
+    assert not path.exists()
+
+
+def test_load_batch_rejects_a_wrong_magic(tmp_path):
+    path = tmp_path / "batch.lrdsim"
+    path.write_bytes(b"LRDSIM0" + struct.pack("<QQQQ", 1, 1, 1, 0) + bytes(8))
+    with pytest.raises(ValueError, match=r"not a sample-batch file \(magic b'LRDSIM0'\)"):
         load_batch(path)
