@@ -17,11 +17,12 @@ import warnings
 
 import numpy as np
 
-from .bootstrap import (confidence_region, covariance_blocks, precision_blocks,
-                        quantile, resolve_block_length)
+from .bootstrap import (TheoreticalBlocks, confidence_region, covariance_blocks,
+                        precision_blocks, quantile, resolve_block_length)
 from .errors import LrdcovError
 from .estimate import sample_covariance, sample_precision
-from .harness import ExperimentConfig, parse_block_rule, parse_structure, run_grid
+from .harness import (BLOCK_RULE_FORMS, STRUCTURE_FORMS, ExperimentConfig, _parse_token,
+                      parse_block_rule, parse_structure, run_grid)
 from .metrics import distance_report
 from .pipeline import ingest
 from .simulate import SimulationPlan, save_batch, simulate_multidimensional
@@ -35,11 +36,8 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     token = raw.get("block_rule")
     if isinstance(token, str):  # other types are named by the config check
-        try:
-            raw["block_rule"] = parse_block_rule(token)
-        except ValueError as exc:
-            raise ValueError(f"config key 'block_rule' must be 'default', 'fixed:<l>' or "
-                             f"'theoretical:<eps>[:scale]', got {token!r} ({exc})") from exc
+        raw["block_rule"] = _parse_token(parse_block_rule, token, "config key 'block_rule'",
+                                         BLOCK_RULE_FORMS)
     return ExperimentConfig(**raw)
 
 
@@ -51,10 +49,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    build = parse_structure(args.structure)
-    if args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
+    build = _parse_token(parse_structure, args.structure, "--structure", STRUCTURE_FORMS)
+    for name in ("n", "copies"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
     N = args.N if args.N is not None else args.n * max(args.n, args.copies)
+    if args.copies > N // args.n:
+        raise ValueError(f"--copies {args.copies} needs --N of at least {args.copies * args.n}")
     plan = SimulationPlan(build(args.beta, args.p, N), args.n, seed=args.seed, N=N,
                           copies_requested=args.copies)
     batch = simulate_multidimensional(plan)
@@ -66,7 +67,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_bootstrap_ci(args) -> int:
     subject = ingest(args.data)
     n, p = subject.data.shape
-    l = resolve_block_length(parse_block_rule(args.block_rule), n, p, args.beta)
+    rule = _parse_token(parse_block_rule, args.block_rule, "--block-rule", BLOCK_RULE_FORMS)
+    if isinstance(rule, TheoreticalBlocks) and args.beta is None:
+        raise ValueError(f"--block-rule {args.block_rule!r} needs --beta")
+    l = resolve_block_length(rule, n, p, args.beta)
     est = sample_covariance(subject.data)
     if args.kind == "prec":
         center = sample_precision(est)
@@ -117,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--beta", type=float, required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--p", type=int, required=True)
-    p_sim.add_argument("--structure", default="toeplitz",
-                       help="'toeplitz' or 'banded:<bandwidth>'")
+    p_sim.add_argument("--structure", default="toeplitz", help=STRUCTURE_FORMS)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--copies", type=int, default=1)
@@ -129,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser("bootstrap-ci", help="simultaneous confidence band")
     p_ci.add_argument("--data", required=True, help="CSV with a label header row")
     p_ci.add_argument("--alpha", type=float, default=0.1)
-    p_ci.add_argument("--block-rule", default="default",
-                      help="'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'")
+    p_ci.add_argument("--block-rule", default="default", help=BLOCK_RULE_FORMS)
     p_ci.add_argument("--kind", choices=("cov", "prec"), default="cov")
     p_ci.add_argument("--beta", type=float, default=None,
                       help="decay exponent, needed by the theoretical rule")

@@ -24,20 +24,18 @@ them per copy: Sigma_hat, Omega_hat, their max-deviations and one bootstrap
 window each.  The reference lane needs only the spec and its lag-0 truth: it
 computes the long-run factor and the matrix draws of a built-in spec, or a
 custom spec's Gamma_0..Gamma_H stack, dense reference and factor, and their
-draws.  With at least 2 usable CPUs, and when both lanes' estimated peaks fit
-model.MEMORY_BUDGET together, the lane runs on a helper thread while the cell
-simulates (numpy releases the GIL in the draws, FFTs, einsum and batched
-linear algebra), so the cell's peak memory is the sum of the two; otherwise it
-runs on the calling thread after the simulation.  The per-copy statistics come
-in blocks of copies, whose (copies, p, p) stacks die with the block: with a
-helper, the first half of the copies is queued behind its lane while the
-calling thread scores the second half, and a first half the helper has not
-started by then is taken back and scored inline; without one, all copies form
-one block.  Each lane draws from its own seed, every batched call treats each
-copy on its own and scoring stays on the calling thread, so the outputs do not
-depend on which way the lanes ran.  One DEBUG record per cell, under the
-"lrdcov.harness" logger, gives the wall time of each phase and which thread
-ran each block.
+draws.  It runs on the cell's one helper thread: queued before the simulation
+when both lanes' estimated peaks fit model.MEMORY_BUDGET together (numpy
+releases the GIL in the draws, FFTs, einsum and batched linear algebra), so
+the cell's peak memory is their sum, and after the per-copy statistics
+otherwise.  Those come in two blocks of copies, whose (copies, p, p) stacks
+die with the block: the first half is queued on the helper while the calling
+thread scores the second, and a first half the helper has not started by then
+is taken back and scored inline.  Each lane draws from its own seed, every
+batched call treats each copy on its own and scoring stays on the calling
+thread, so the outputs do not depend on which thread ran what.  One DEBUG
+record per cell, under the "lrdcov.harness" logger, gives the wall time of
+each phase and which thread ran each block.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
@@ -50,7 +48,6 @@ from __future__ import annotations
 import contextvars
 import logging
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -95,6 +92,8 @@ _log = logging.getLogger(__name__)
 
 RESULTS_HEADER = "n,p,beta,kind,ks,w1,runtime_ms,seed\n"
 SKIPPED_HEADER = "n,p,beta,kind,reason\n"
+STRUCTURE_FORMS = "'toeplitz' or 'banded:<bandwidth>'"
+BLOCK_RULE_FORMS = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
 
 
 # Each config field's type and how an error names it; the list fields hold that type.
@@ -134,11 +133,7 @@ class ExperimentConfig:
                            for v in (value if listed else [value]))):
                 raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
                                  f"{name}, got {value!r}")
-        try:
-            parse_structure(self.structure)
-        except ValueError as exc:
-            raise ValueError(f"config key 'structure' must be 'toeplitz' or "
-                             f"'banded:<bandwidth>', got {self.structure!r} ({exc})") from exc
+        _parse_token(parse_structure, self.structure, "config key 'structure'", STRUCTURE_FORMS)
         unknown = [k for k in self.targets if k not in ALL_TARGETS]
         if unknown:
             raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")
@@ -165,6 +160,14 @@ class SkippedTarget:
     reason: str
 
 
+def _parse_token(parse, token: str, name: str, forms: str):
+    """parse(token), with a ValueError that names `name`, the `forms` and the token."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be {forms}, got {token!r} ({exc})") from exc
+
+
 def parse_structure(token: str):
     """'toeplitz' or 'banded:<bandwidth>' -> spec builder (beta, p, truncation)."""
     if token == "toeplitz":
@@ -184,10 +187,8 @@ def parse_block_rule(token: str):
     if token.startswith("fixed:"):
         return FixedBlocks(int(token.split(":", 1)[1]))
     if token.startswith("theoretical:"):
-        parts = token.split(":")[1:]
-        epsilon = float(parts[0])
-        scale = float(parts[1]) if len(parts) > 1 else 1.0
-        return TheoreticalBlocks(epsilon, scale)
+        epsilon, *scale = map(float, token.split(":", 2)[1:])
+        return TheoreticalBlocks(epsilon, *scale)
     raise ValueError(f"unknown block rule token {token!r}")
 
 
@@ -214,10 +215,10 @@ def _write_ecdf(path: Path, samples: dict) -> None:
 def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
                      seeds: dict) -> dict:
     """The reference lane of a cell: per Gaussian-approximation kind, in ALL_TARGETS
-    order, `replicates` draws of |Z|_inf, or the exception its reference raised.
+    order, `replicates` draws of |Z|_inf, or the LrdcovError its reference raised.
 
     It reads the spec and its lag-0 truth alone.  An LrdcovError skips its kind;
-    any other exception ends the lane and is raised where scoring reaches it.
+    any other exception ends the lane and the cell.
     """
     spec, draws = truth.spec, {}
     if spec.separable and kinds:
@@ -240,10 +241,8 @@ def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
                 ref = build_reference(omega_transformed_long_run(truth, None) if prec
                                       else gaussian_long_run_covariance(truth, None))
             draws[kind] = sample_max_abs(ref, replicates, seeds[kind])
-        except Exception as exc:
+        except LrdcovError as exc:
             draws[kind] = exc
-            if not isinstance(exc, LrdcovError):
-                break
     return draws
 
 
@@ -302,14 +301,6 @@ def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
             + _LAG_BYTES_PER_ELEMENT * points * p * (p + spec.d) + draws)
 
 
-def _overlaps(plan: SimulationPlan, reference_bytes: int) -> bool:
-    """Run the reference lane beside the simulation: at least 2 usable CPUs, and
-    both lanes' peaks fit model.MEMORY_BUDGET together."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return cpus >= 2 and plan.peak_bytes + reference_bytes <= model.MEMORY_BUDGET
-
-
 def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
              block_rule=DefaultBlocks(), targets: Sequence[str] = ALL_TARGETS,
              seed: int = 0, output_dir: Optional[str] = None,
@@ -320,7 +311,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     there (see the module docstring), so the error is centred on the covariance
     of the process actually drawn.  The Gaussian reference samples come from
     the long-run covariance of that process, for the precision targets
-    conjugated by the true Omega; they are drawn in a second lane (see the
+    conjugated by the true Omega, drawn on the cell's helper thread (see the
     module docstring).  Targets are scored one at a time, in ALL_TARGETS order.
     """
     targets = tuple(targets)
@@ -351,19 +342,20 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     boots = [k for k in kinds if k == COV_BOOT or k == PREC_BOOT and reason is None]
     lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
                    replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
-    overlap = _overlaps(plan, _reference_peak_bytes(spec, replicates) if ga_kinds else 0)
-    with ThreadPoolExecutor(1, "lrdcov-helper") if overlap else nullcontext() as pool:
-        helper = pool.submit(_timed, lane) if pool else None
+    fits = plan.peak_bytes + (_reference_peak_bytes(spec, replicates) if ga_kinds
+                              else 0) <= model.MEMORY_BUDGET
+    with ThreadPoolExecutor(1, "lrdcov-helper") as pool:
+        helper = pool.submit(_timed, lane) if fits else None
         sim_s = time.perf_counter()
         X = simulate_multidimensional(plan).data
         sim_s = time.perf_counter() - sim_s
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
         block = partial(_copy_block, X, ends, truth, l, bool(prec_kinds) and reason is None,
                         boots)
-        # The helper takes copies [0, R/2) once its lane is done, while this thread
-        # runs [R/2, R); a first half the helper has not started by then is taken
-        # back and run here, so a long lane never holds the cell up.
-        half = replicates // 2 if pool else 0
+        # The helper takes copies [0, R/2) once its queue reaches them, while this
+        # thread runs [R/2, R); a first half the helper has not started by then is
+        # taken back and run here, so a long lane never holds the cell up.
+        half = replicates // 2
         first = (pool.submit(contextvars.copy_context().run, _timed, block, 0, half)
                  if half else None)
         try:
@@ -373,7 +365,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                 first = None
         if half:
             blocks.insert(0, first.result() if first else _timed(block, 0, half))
-        draws, lane_thread, lane_s = helper.result() if helper else _timed(lane)
+        draws, lane_thread, lane_s = (helper or pool.submit(_timed, lane)).result()
 
     outs = [out for out, _, _ in blocks]
     failed = [out["prec_error"] for out in outs
@@ -398,8 +390,6 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
             if isinstance(approx, LrdcovError):
                 skipped.append(SkippedTarget(n, p, beta, kind, str(approx)))
                 continue
-            if isinstance(approx, Exception):
-                raise approx
         samples[kind] = approx
         scores.append((kind, kolmogorov_distance(errors, approx),
                        wasserstein1(errors, approx)))
@@ -437,6 +427,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     Rows appear in grid order (beta, then n, then p) regardless of worker
     scheduling.  The CSV's runtime_ms column is 0 so that reruns are
     byte-identical; the measured runtimes are on the returned CellResults.
+    `workers` cells run at once, each with its own helper thread and each held
+    to the whole model.MEMORY_BUDGET alone; choose `workers` so that they fit.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

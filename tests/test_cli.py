@@ -196,6 +196,31 @@ def test_console_names_alpha_when_it_is_out_of_range(tmp_path, alpha):
     assert done.stderr == "lrdcov: error: alpha must lie in (0, 1)\n"
 
 
+GRAMMAR = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--block-rule", "fixed:x"], f"--block-rule must be {GRAMMAR}, got 'fixed:x' "
+                                  "(invalid literal for int() with base 10: 'x')"),
+    (["--block-rule", "fixed:1.5"], f"--block-rule must be {GRAMMAR}, got 'fixed:1.5' "
+                                    "(invalid literal for int() with base 10: '1.5')"),
+    (["--block-rule", "theoretical:"], f"--block-rule must be {GRAMMAR}, got 'theoretical:' "
+                                       "(could not convert string to float: '')"),
+    (["--block-rule", "theoretical:0.5:1:x", "--beta", "2"],
+     f"--block-rule must be {GRAMMAR}, got 'theoretical:0.5:1:x' "
+     "(could not convert string to float: '1:x')"),
+    (["--block-rule", "theoretical:0.5"], "--block-rule 'theoretical:0.5' needs --beta")],
+    ids=["fixed:x", "fixed:1.5", "theoretical:", "theoretical-trailing-token",
+         "theoretical-without-beta"])
+def test_console_rejects_a_bad_bootstrap_option_in_one_line(tmp_path, options, message):
+    path = tmp_path / "subject.csv"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((100, 2)), delimiter=",",
+               header="a,b", comments="")
+    done = run_console("bootstrap-ci", "--data", path, *options)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"lrdcov: error: {message}\n"
+
+
 def simulate_args(out, **options):
     args = {"beta": 2.0, "n": 10, "p": 2, "seed": 7, "out": out, **options}
     return [token for key, value in args.items() for token in (f"--{key}", value)]
@@ -205,8 +230,14 @@ def simulate_args(out, **options):
     ({"seed": 2**64}, "seed = 18446744073709551616 outside [0, 2^64)"),
     ({"seed": -1}, "seed = -1 outside [0, 2^64)"),
     ({"n": 0}, "--n must be positive, got 0"),
-    ({"n": -4}, "--n must be positive, got -4")],
-    ids=["seed-2^64", "seed--1", "n-0", "n--4"])
+    ({"n": -4}, "--n must be positive, got -4"),
+    ({"copies": 0}, "--copies must be positive, got 0"),
+    ({"copies": -1}, "--copies must be positive, got -1"),
+    ({"copies": 20, "N": 100}, "--copies 20 needs --N of at least 200"),
+    ({"structure": "banded:x"}, "--structure must be 'toeplitz' or 'banded:<bandwidth>', "
+                                "got 'banded:x' (invalid literal for int() with base 10: 'x')")],
+    ids=["seed-2^64", "seed--1", "n-0", "n--4", "copies-0", "copies--1", "copies-over-N",
+         "structure-banded:x"])
 def test_console_rejects_a_bad_simulation_option_in_one_line(tmp_path, options, message):
     out = tmp_path / "batch.lrdsim"
     done = run_console("simulate", *simulate_args(out, **options))

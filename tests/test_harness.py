@@ -493,48 +493,69 @@ def test_grid_rejects_workers_below_one(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def set_cpus(monkeypatch, count):
-    """The CPUs run_cell may use, as os.sched_getaffinity reports them."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
+class Schedule:
+    """Records which thread started each copy block and Gaussian-reference draw of
+    run_cell, in start order, and sets how the cell's two choices fall.
 
+    `events` holds ((lo, hi), thread) per block and ("lane", thread) per draw.
+    `mode` is "beside" (the lane runs beside the simulation, then the helper
+    takes the first half: this thread's half waits until the helper has started
+    it), "held" (the lane holds the helper until this thread has started the
+    first half, which it can only do by taking it back) or "tight" (the two
+    lanes' peaks do not fit the budget together, so the lane runs after both
+    blocks; this thread's half again waits for the helper's)."""
 
-def record_lane_threads(monkeypatch):
-    """The thread of every Gaussian-reference draw."""
-    threads = []
-    original = harness.sample_max_abs
+    def __init__(self, monkeypatch, mode="beside"):
+        self.events, self.mode, self.caller = [], mode, threading.current_thread()
+        self.helper_started, self.first_taken = threading.Event(), threading.Event()
+        block, draw = harness._copy_block, harness.sample_max_abs
+        lane, peak = harness._reference_draws, harness._reference_peak_bytes
 
-    def recording(ref, reps, seed):
-        threads.append(threading.current_thread())
-        return original(ref, reps, seed)
+        def recording_block(*args):
+            lo, hi = args[-2:]
+            me = threading.current_thread()
+            self.events.append(((lo, hi), me))
+            if me is not self.caller:
+                self.helper_started.set()
+            elif lo == 0:
+                self.first_taken.set()
+            elif self.mode != "held":
+                assert self.helper_started.wait(30)
+            return block(*args)
 
-    monkeypatch.setattr(harness, "sample_max_abs", recording)
-    return threads
+        def recording_draw(ref, reps, seed):
+            self.events.append(("lane", threading.current_thread()))
+            return draw(ref, reps, seed)
+
+        def held_lane(*args):
+            if self.mode == "held":
+                assert self.first_taken.wait(30)
+            return lane(*args)
+
+        monkeypatch.setattr(harness, "_copy_block", recording_block)
+        monkeypatch.setattr(harness, "sample_max_abs", recording_draw)
+        monkeypatch.setattr(harness, "_reference_draws", held_lane)
+        monkeypatch.setattr(harness, "_reference_peak_bytes", lambda spec, replicates: (
+            model.MEMORY_BUDGET if self.mode == "tight" else peak(spec, replicates)))
+
+    def reset(self, mode):
+        self.events.clear()
+        self.helper_started.clear()
+        self.first_taken.clear()
+        self.mode = mode
+
+    @property
+    def blocks(self):
+        return [(*what, thread) for what, thread in self.events if what != "lane"]
+
+    @property
+    def lane_threads(self):
+        return [thread for what, thread in self.events if what == "lane"]
 
 
 def cell_outputs(outdir, results, skipped):
     return ([(r.kind, r.ks, r.w1) for r in results], skipped,
             {path.name: path.read_bytes() for path in sorted(outdir.iterdir())})
-
-
-def record_blocks(monkeypatch, hold=True):
-    """(lo, hi, thread) of every copy block.  With `hold`, the calling thread's
-    half of a split cell waits until the helper has started the first half, so
-    the helper is sure to run it."""
-    blocks, started, caller = [], threading.Event(), threading.current_thread()
-    original = harness._copy_block
-
-    def recording(*args):
-        lo, hi = args[-2:]
-        blocks.append((lo, hi, threading.current_thread()))
-        if threading.current_thread() is not caller:
-            started.set()
-        elif hold and lo > 0:
-            assert started.wait(30)
-        return original(*args)
-
-    monkeypatch.setattr(harness, "_copy_block", recording)
-    return blocks
 
 
 @pytest.mark.parametrize("spec, n, replicates, targets", [
@@ -546,31 +567,37 @@ def record_blocks(monkeypatch, hold=True):
          "p-above-n-odd-copies"])
 def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch, spec, n,
                                                           replicates, targets):
-    threads = record_lane_threads(monkeypatch)
-    blocks = record_blocks(monkeypatch)
-    half = replicates // 2
+    # the three schedules of Schedule: the lane beside the simulation with the
+    # helper running [0, R/2), a held lane with both halves inline on this thread,
+    # and a tight budget with the lane on the helper after both blocks
+    schedule, me, half = Schedule(monkeypatch), threading.current_thread(), replicates // 2
     outputs = {}
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        threads.clear()
-        blocks.clear()
+    for mode in ("beside", "held", "tight"):
+        schedule.reset(mode)
         before = threading.active_count()
-        outdir = tmp_path / f"cpus{cpus}"
-        outputs[cpus] = cell_outputs(outdir, *run_cell(
+        outdir = tmp_path / mode
+        outputs[mode] = cell_outputs(outdir, *run_cell(
             spec, n=n, replicates=replicates, seed=8, block_rule=FixedBlocks(6),
             targets=targets, output_dir=str(outdir)))
         assert threading.active_count() == before
-        assert (len(threads) > 0) == ("cov_ga" in targets)
-        assert all((t is threading.current_thread()) == (cpus == 1) for t in threads)
-        if cpus == 1 or half == 0:
-            assert blocks == [(0, replicates, threading.current_thread())]
+        lanes, blocks = schedule.lane_threads, schedule.blocks
+        assert (len(lanes) > 0) == ("cov_ga" in targets)
+        assert all(t is not me for t in lanes)
+        if half == 0:
+            assert blocks == [(0, replicates, me)]
+        elif mode == "held":
+            assert blocks == [(half, replicates, me), (0, half, me)]
         else:  # the helper runs the first half, this thread the second
             assert sorted((lo, hi) for lo, hi, _ in blocks) == [(0, half), (half, replicates)]
-            assert all((t is threading.current_thread()) == (lo == half)
-                       for lo, _, t in blocks)
-    assert outputs[1] == outputs[2]
+            assert all((t is me) == (lo == half) for lo, _, t in blocks)
+        if mode == "tight":
+            assert all(what == "lane" for what, _ in schedule.events[len(blocks):])
+        else:  # the helper runs the lane first
+            assert [what for what, t in schedule.events if t is not me][:len(lanes)] == (
+                ["lane"] * len(lanes))
+    assert outputs["beside"] == outputs["held"] == outputs["tight"]
     # the ECDF, and one QQ per result from two copies on
-    assert len(outputs[1][2]) == 1 + len(outputs[1][0]) * (replicates > 1)
+    assert len(outputs["beside"][2]) == 1 + len(outputs["beside"][0]) * (replicates > 1)
 
 
 @pytest.mark.parametrize("poisoned, named", [
@@ -600,65 +627,28 @@ def test_a_failing_sample_precision_skips_with_the_first_failing_copy(
 
     monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
     monkeypatch.setattr(harness, "sample_precision", failing)
-    blocks = record_blocks(monkeypatch)
-    config = small_config(tmp_path, grid_n=[n], grid_p=[3], replicates=replicates,
-                          targets=ALL_TARGETS)
-    outputs = {}
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        blocks.clear()
-        stacks.clear()
-        before = threading.active_count()
-        outdir = tmp_path / f"cpus{cpus}"
-        results = run_grid(replace(config, output_dir=str(outdir)))
-        assert threading.active_count() == before
-        assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
-        assert len(blocks) == cpus
-        # one call per block, never one on the whole stack
-        assert sorted(stacks) == ([replicates] if cpus == 1 else [15, 15])
-        outputs[cpus] = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
-    assert outputs[1] == outputs[2]
-    assert outputs[2]["skipped.csv"].decode() == "".join(
+    schedule = Schedule(monkeypatch)
+    before = threading.active_count()
+    results = run_grid(small_config(tmp_path, grid_n=[n], grid_p=[3], replicates=replicates,
+                                    targets=ALL_TARGETS))
+    assert threading.active_count() == before
+    assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
+    assert len(schedule.blocks) == 2
+    assert sorted(stacks) == [15, 15]  # one call per half, never one on the whole stack
+    assert (tmp_path / "out" / "skipped.csv").read_text() == "".join(
         [harness.SKIPPED_HEADER] + [f"64,3,2,{kind},sample precision failed: copy {named[0]} "
                                     f"fails the {named[1]} check\n"
                                     for kind in ("prec_ga", "prec_boot")])
 
 
 def test_a_held_lane_leaves_both_halves_to_the_calling_thread(tmp_path, monkeypatch):
-    # the lane is held until this thread starts the first half, which it can only
-    # do once it has taken that half back from the helper's queue
-    released, factor = threading.Event(), harness._long_run_factor
-    blocks = record_blocks(monkeypatch, hold=False)
-    original = harness._copy_block
-
-    def releasing(*args):
-        if args[-2] == 0:
-            released.set()
-        return original(*args)
-
-    def held_factor(spec):
-        assert released.wait(30)
-        return factor(spec)
-
-    monkeypatch.setattr(harness, "_copy_block", releasing)
-    monkeypatch.setattr(harness, "_long_run_factor", held_factor)
-    lane_threads = record_lane_threads(monkeypatch)
-    outputs = {}
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        blocks.clear()
-        lane_threads.clear()
-        released.clear()
-        before = threading.active_count()
-        outdir = tmp_path / f"cpus{cpus}"
-        outputs[cpus] = cell_outputs(outdir, *run_cell(
-            toeplitz_spec(2.0, 4), n=80, replicates=30, seed=8, block_rule=FixedBlocks(6),
-            output_dir=str(outdir)))
-        assert threading.active_count() == before
-    me = threading.current_thread()
-    assert blocks == [(15, 30, me), (0, 15, me)]
-    assert lane_threads and all(t is not me for t in lane_threads)
-    assert outputs[1] == outputs[2]
+    schedule, me = Schedule(monkeypatch, mode="held"), threading.current_thread()
+    before = threading.active_count()
+    run_cell(toeplitz_spec(2.0, 4), n=80, replicates=30, seed=8, block_rule=FixedBlocks(6),
+             output_dir=str(tmp_path))
+    assert threading.active_count() == before
+    assert schedule.blocks == [(15, 30, me), (0, 15, me)]
+    assert schedule.lane_threads and all(t is not me for t in schedule.lane_threads)
 
 
 def test_helper_block_error_propagates_after_the_join(monkeypatch):
@@ -672,9 +662,8 @@ def test_helper_block_error_propagates_after_the_join(monkeypatch):
         return original(*args)
 
     caller = threading.current_thread()
-    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "_copy_block", failing)
-    record_blocks(monkeypatch)  # the calling thread's half waits for the helper's
+    Schedule(monkeypatch)  # the calling thread's half waits for the helper's
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="forced failure"):
         run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3, block_rule=FixedBlocks(8))
@@ -683,23 +672,20 @@ def test_helper_block_error_propagates_after_the_join(monkeypatch):
 
 
 def test_cell_logs_one_debug_record_of_its_phase_times(tmp_path, monkeypatch, caplog):
-    pattern = (r"cell n=64 p=3 beta=2: simulate [0-9.]+ s; copies {copies}; "
-               r"reference lane [0-9.]+ s on {lane}; scoring [0-9.]+ s; sidecars [0-9.]+ s")
+    pattern = (r"cell n=64 p=3 beta=2: simulate [0-9.]+ s; copies 0:10 [0-9.]+ s on "
+               r"lrdcov-helper_0, 10:20 [0-9.]+ s on MainThread; reference lane [0-9.]+ s "
+               r"on lrdcov-helper_0; scoring [0-9.]+ s; sidecars [0-9.]+ s")
     kwargs = dict(n=64, replicates=20, seed=3, block_rule=FixedBlocks(8),
                   output_dir=str(tmp_path))
-    record_blocks(monkeypatch)
-    for cpus, copies, lane in [
-            (1, r"0:20 [0-9.]+ s on MainThread", "MainThread"),
-            (2, r"0:10 [0-9.]+ s on lrdcov-helper_0, 10:20 [0-9.]+ s on MainThread",
-             "lrdcov-helper_0")]:
-        set_cpus(monkeypatch, cpus)
+    schedule = Schedule(monkeypatch)
+    for mode in ("beside", "tight"):
+        schedule.reset(mode)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="lrdcov.harness"):
             run_cell(toeplitz_spec(2.0, 3), **kwargs)
         assert [(r.name, r.levelno) for r in caplog.records] == [
             ("lrdcov.harness", logging.DEBUG)]
-        assert re.fullmatch(pattern.format(copies=copies, lane=lane),
-                            caplog.records[0].getMessage())
+        assert re.fullmatch(pattern, caplog.records[0].getMessage())
     caplog.clear()
     run_cell(toeplitz_spec(2.0, 3), **kwargs)  # nothing below WARNING by default
     assert caplog.records == []
@@ -712,17 +698,19 @@ def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
                           copies_requested=replicates)
     lane_bytes = harness._reference_peak_bytes(plan.spec, replicates)
     assert lane_bytes < plan.peak_bytes  # 2.75 MB beside 7.2 MB
-    set_cpus(monkeypatch, 2)
-    threads = record_lane_threads(monkeypatch)
+    schedule, me = Schedule(monkeypatch), threading.current_thread()
     outputs = {}
     for budget in (plan.peak_bytes + lane_bytes, plan.peak_bytes):
         monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
-        threads.clear()
+        schedule.reset("beside")
         outdir = tmp_path / str(budget)
         outputs[budget] = cell_outputs(outdir, *run_cell(
             spec, n=n, replicates=replicates, seed=2, output_dir=str(outdir)))
-        assert all((t is threading.current_thread()) == (budget == plan.peak_bytes)
-                   for t in threads) and len(threads) == 2
+        lanes = schedule.lane_threads
+        assert len(lanes) == 2 and all(t is not me for t in lanes)
+        # at the tighter budget the lane starts only after both blocks
+        first_two = {what for what, _ in schedule.events[:2]}
+        assert (first_two == {(0, 50), (50, 100)}) == (budget == plan.peak_bytes)
     assert outputs[plan.peak_bytes] == outputs[plan.peak_bytes + lane_bytes]
 
 
@@ -747,7 +735,6 @@ def test_main_lane_failure_joins_the_running_reference_lane(tmp_path, monkeypatc
             raised.set()
             raise
 
-    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "_long_run_factor", late_factor)
     monkeypatch.setattr(harness, "simulate_multidimensional", gated_simulate)
     before = threading.active_count()
@@ -783,42 +770,34 @@ def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
         return check(p)
 
     monkeypatch.setattr(harness, "_check_dense_cap", recording_check)
-    skipped = {}
-    for cpus in (2, 1):
-        set_cpus(monkeypatch, cpus)
-        cap_threads.clear()
-        before = threading.active_count()
-        results = run_grid(replace(config, output_dir=str(tmp_path / f"cpus{cpus}")))
-        assert threading.active_count() == before
-        assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
-        assert all((t is threading.current_thread()) == (cpus == 1) for t in cap_threads)
-        assert len(cap_threads) == 2
-        skipped[cpus] = (tmp_path / f"cpus{cpus}" / "skipped.csv").read_text()
-    assert skipped[2] == skipped[1]
-    assert [line.split(",")[3] for line in skipped[2].splitlines()[1:]] == ["cov_ga", "prec_ga"]
-    assert f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes" in skipped[2]
+    before = threading.active_count()
+    results = run_grid(config)
+    assert threading.active_count() == before
+    assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
+    assert len(cap_threads) == 2 and all(t is not threading.current_thread()
+                                         for t in cap_threads)
+    skipped = (tmp_path / "out" / "skipped.csv").read_text()
+    assert [line.split(",")[3] for line in skipped.splitlines()[1:]] == ["cov_ga", "prec_ga"]
+    assert f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes" in skipped
 
 
-def test_reference_error_is_raised_only_where_scoring_reaches_it(monkeypatch):
-    # a prec_ga reference that fails with a non-package error ends the cell, unless
-    # the precision targets are skipped first, as when each was drawn in turn
+def test_a_non_package_reference_error_ends_the_cell(monkeypatch):
+    # a prec_ga reference that fails with a non-package error ends the cell, also
+    # when a failing sample precision skips the precision targets
     def boom(truth, n):
         raise ArithmeticError("forced failure")
 
     def singular(result):
         raise NearSingularError("forced failure", condition_estimate=np.inf)
 
-    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "omega_transformed_long_run", boom)
     kwargs = dict(n=40, replicates=10, seed=4, block_rule=FixedBlocks(6))
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="forced failure"):
-        run_cell(coupled_custom_spec(), **kwargs)
-    assert threading.active_count() == before
-    monkeypatch.setattr(harness, "sample_precision", singular)
-    results, skipped = run_cell(coupled_custom_spec(), **kwargs)
-    assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
-    assert [s.kind for s in skipped] == ["prec_ga", "prec_boot"]
+    for precision in (harness.sample_precision, singular):
+        monkeypatch.setattr(harness, "sample_precision", precision)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="forced failure"):
+            run_cell(coupled_custom_spec(), **kwargs)
+        assert threading.active_count() == before
 
 
 def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
@@ -833,15 +812,17 @@ def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
         states.append((threading.current_thread(), np.geterr()["over"]))
         return block(*args)
 
-    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "sample_max_abs", recording)
     monkeypatch.setattr(harness, "_copy_block", recording_block)
-    record_blocks(monkeypatch)  # the helper runs the first half
-    with np.errstate(over="raise"):
-        run_cell(toeplitz_spec(2.0, 3), n=64, replicates=10, seed=3,
-                 block_rule=FixedBlocks(8), targets=("cov_ga", "prec_ga"))
-    assert [state for _, state in states] == ["raise"] * 4
-    assert sum(thread is not threading.current_thread() for thread, _ in states) == 3
+    schedule = Schedule(monkeypatch)  # the helper runs the first half
+    for mode in ("beside", "tight"):
+        schedule.reset(mode)
+        states.clear()
+        with np.errstate(over="raise"):
+            run_cell(toeplitz_spec(2.0, 3), n=64, replicates=10, seed=3,
+                     block_rule=FixedBlocks(8), targets=("cov_ga", "prec_ga"))
+        assert [state for _, state in states] == ["raise"] * 4
+        assert sum(thread is not threading.current_thread() for thread, _ in states) == 3
 
 
 def test_simulation_budget_fails_before_the_callback_is_read(monkeypatch):
