@@ -84,7 +84,6 @@ class FixedBlocks:
 class TheoreticalBlocks:
     epsilon: float
     scale: float = 1.0
-    beta: Optional[float] = None  # may also come from the caller
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0 and self.scale > 0):
@@ -127,10 +126,9 @@ def resolve_block_length(rule, n: int, p: int = 1,
             raise ValueError(f"fixed block length {rule.l} outside [1, {n}]")
         return rule.l
     if isinstance(rule, TheoreticalBlocks):
-        b = rule.beta if rule.beta is not None else beta
-        if b is None:
+        if beta is None:
             raise OutOfRegimeError("theoretical block rule needs a decay exponent")
-        return theoretical_block_length(n, p, b, rule.epsilon, rule.scale)
+        return theoretical_block_length(n, p, beta, rule.epsilon, rule.scale)
     raise TypeError(f"unknown block rule {rule!r}")
 
 

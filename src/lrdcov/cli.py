@@ -70,6 +70,8 @@ def _cmd_bootstrap_ci(args) -> int:
     rule = _parse_token(parse_block_rule, args.block_rule, "--block-rule", BLOCK_RULE_FORMS)
     if isinstance(rule, TheoreticalBlocks) and args.beta is None:
         raise ValueError(f"--block-rule {args.block_rule!r} needs --beta")
+    if args.beta is not None and not np.isfinite(args.beta):
+        raise ValueError(f"--beta must be finite, got {args.beta}")
     l = resolve_block_length(rule, n, p, args.beta)
     est = sample_covariance(subject.data)
     if args.kind == "prec":

@@ -99,7 +99,7 @@ BLOCK_RULE_FORMS = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
 # Each config field's type and how an error names it; the list fields hold that type.
 _FIELD_TYPES = {"grid_n": (Integral, "positive integers"),
                 "grid_p": (Integral, "positive integers"),
-                "betas": (Real, "positive numbers"), "targets": (str, "strings"),
+                "betas": (Real, "finite positive numbers"), "targets": (str, "strings"),
                 "structure": (str, "a string"), "seed": (Integral, "a non-negative integer"),
                 "replicates": (Integral, "a positive integer"),
                 "output_dir": ((str, PathLike), "a path"),
@@ -128,7 +128,7 @@ class ExperimentConfig:
             value, listed = getattr(self, key), key in _LIST_FIELDS
             if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
                     or any(not isinstance(v, kind) or isinstance(v, bool)
-                           or key in _POSITIVE_FIELDS and not v > 0
+                           or key in _POSITIVE_FIELDS and not 0 < v < math.inf
                            or key == "seed" and v < 0
                            for v in (value if listed else [value]))):
                 raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
@@ -331,7 +331,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
     plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
                           copies_requested=replicates)
-    _check_budget(plan)  # before the truth, which builds a custom spec's lag stack
+    _check_budget(plan)  # before the truth, which sums a custom spec's H + 1 lags
     truth = process_truth(spec, lags=0)
     prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
     reason = (f"precision targets need p < n (p={p}, n={n})" if p >= n

@@ -6,7 +6,7 @@ The built-in structures are polynomially decaying Toeplitz and banded matrices,
     (A_t)_{jk} = (t+1)^{-beta} (|j-k|+1)^{-2}        (Toeplitz)
     (A_t)_{jk} = same, zeroed where |j-k| > bandwidth  (banded)
 
-plus an escape hatch for arbitrary callables.  Both built-ins factor as
+plus custom coefficient arrays A_0..A_H.  Both built-ins factor as
 A_t = c_t * M with c_t = (t+1)^{-beta} and a fixed template M, which the
 analytic routines exploit: autocovariances become scalar lag sums times a
 constant matrix, and the p^2 x p^2 reference covariance collapses to a single
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _REFERENCE_BYTES_PER_P4 = 48
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Generative description of the coefficient sequence A_t."""
+    """Generative description of the coefficient sequence A_t (equality ignores `coeffs`)."""
 
     structure: str
     beta: float
@@ -61,21 +61,21 @@ class CoefficientSpec:
     d: int
     truncation: int
     bandwidth: Optional[int] = None
-    custom: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
+    coeffs: np.ndarray = field(default=(), repr=False, compare=False)  # custom only
 
     def __post_init__(self):
         if self.structure not in (TOEPLITZ, BANDED, CUSTOM):
             raise ValueError(f"unknown structure {self.structure!r}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.p < 1 or self.d < 1:
             raise ValueError("dimensions must be positive")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
         if self.structure == BANDED and (self.bandwidth is None or self.bandwidth < 1):
             raise ValueError("banded structure requires a positive bandwidth")
-        if self.structure == CUSTOM and self.custom is None:
-            raise ValueError("custom structure requires a callback")
+        if self.structure == CUSTOM and len(self.coeffs) <= self.truncation:
+            raise ValueError("custom structure requires coefficients A_0..A_truncation")
         if self.structure in (TOEPLITZ, BANDED) and self.d != self.p:
             raise ValueError("Toeplitz/banded coefficients are square (d = p)")
 
@@ -95,9 +95,16 @@ def banded_spec(beta: float, p: int, bandwidth: int,
                            bandwidth=bandwidth)
 
 
-def custom_spec(fn: Callable[[int], np.ndarray], beta: float, p: int, d: int,
-                truncation: int) -> CoefficientSpec:
-    return CoefficientSpec(CUSTOM, beta, p, d, truncation, custom=fn)
+def custom_spec(coeffs, beta: float) -> CoefficientSpec:
+    """A_t = coeffs[t], t = 0..H, from a finite (H + 1, p, d) array kept as a read-only copy."""
+    coeffs = np.array(coeffs, dtype=float)
+    if coeffs.ndim != 3 or len(coeffs) < 2:
+        raise ValueError(f"custom coefficient shape {coeffs.shape} is not (H + 1, p, d), H > 0")
+    finite = np.isfinite(coeffs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"custom coefficient A_{finite.argmin()} has a non-finite entry")
+    coeffs.flags.writeable = False
+    return CoefficientSpec(CUSTOM, beta, *coeffs.shape[1:], len(coeffs) - 1, coeffs=coeffs)
 
 
 def _default_truncation(p: int, truncation: Optional[int]) -> int:
@@ -123,15 +130,13 @@ def decay_sequence(spec: CoefficientSpec, count: int) -> np.ndarray:
 
 
 def coefficient(spec: CoefficientSpec, t: int) -> np.ndarray:
-    """Coefficient matrix A_t; pure and deterministic."""
+    """Coefficient matrix A_t; a custom spec's is a read-only view, up to its truncation."""
     if t < 0:
         raise ValueError("lag t must be nonnegative")
     if spec.structure == CUSTOM:
-        mat = np.asarray(spec.custom(t), dtype=float)
-        if mat.shape != (spec.p, spec.d):
-            raise ValueError(f"custom callback returned shape {mat.shape}, "
-                             f"expected {(spec.p, spec.d)}")
-        return mat
+        if t > spec.truncation:
+            raise TruncationExceededError(f"lag {t} exceeds truncation {spec.truncation}")
+        return spec.coeffs[t]
     return (t + 1.0) ** (-spec.beta) * template(spec)
 
 
@@ -158,13 +163,6 @@ def _lag_sums(spec: CoefficientSpec, max_lag: int) -> np.ndarray:
     return _lag_products(decay_sequence(spec, spec.truncation + 1), max_lag)
 
 
-def _custom_coeff_stack(spec: CoefficientSpec, count: int) -> np.ndarray:
-    stack = np.empty((count, spec.p, spec.d))  # no list of count arrays held
-    for t in range(count):
-        stack[t] = coefficient(spec, t)
-    return stack
-
-
 def autocovariance(spec: CoefficientSpec, k: int) -> np.ndarray:
     """Gamma_k = sum_{t=0}^{H-|k|} A_t A_{t+|k|}^T = Gamma_{-k}^T: the autocovariance of
     the process truncated at H = spec.truncation, the one the simulator draws."""
@@ -181,7 +179,7 @@ def autocovariance_sequence(spec: CoefficientSpec, max_lag: int) -> np.ndarray:
         mat = template(spec)
         base = mat @ mat.T
         return _lag_sums(spec, max_lag)[:, None, None] * base[None, :, :]
-    return _lag_products(_custom_coeff_stack(spec, spec.truncation + 1), max_lag)
+    return _lag_products(spec.coeffs[:spec.truncation + 1], max_lag)
 
 
 def beta_tilde(beta: float) -> float:
@@ -308,8 +306,9 @@ def theoretical_rates(beta: float, n: int, p: int, epsilon: float) -> dict:
     if beta <= 0.75:
         raise OutOfRegimeError(
             f"beta = {beta} is at or below 3/4; the Gaussian limit fails")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    if not (math.isfinite(beta) and 0.0 < epsilon < 1.0):
+        raise ValueError(f"rates need a finite beta and epsilon in (0, 1), "
+                         f"got {beta} and {epsilon}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     bt = beta_tilde(beta)
@@ -328,7 +327,7 @@ def condition1_constant(spec: CoefficientSpec) -> float:
     if spec.separable:
         mat = template(spec)
         return float(np.sqrt((mat ** 2).sum(axis=1)).max())
-    stack = _custom_coeff_stack(spec, min(_CONDITION1_LAGS, spec.truncation) + 1)
+    stack = spec.coeffs[:min(_CONDITION1_LAGS, spec.truncation) + 1]
     decay = np.maximum(1, np.arange(len(stack))) ** spec.beta
     return float((np.sqrt((stack ** 2).sum(axis=2)).max(axis=1) * decay).max())
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import model
 from .errors import InvalidPlanError, MemoryBudgetError
-from .model import CoefficientSpec, _custom_coeff_stack, decay_sequence, template
+from .model import CoefficientSpec, decay_sequence, template
 
 # Estimated peak bytes per N*d element: two (d, N) arrays or transforms alive
 # at once plus FFT buffers (measured peak RSS: 18-20 B at d = 10, N >= 10^6).
@@ -64,8 +64,8 @@ class SimulationPlan:
 
     @property
     def peak_bytes(self) -> int:
-        """Estimated peak bytes of simulating this plan; a custom spec adds its
-        (N, p, d) coefficient stack and transform and its (p, N) convolutions."""
+        """Estimated peak bytes of simulating this plan; a custom spec adds its (p, N)
+        convolutions, its coefficients' transform and the (N, p, d) stack the spec holds."""
         p, d = self.spec.p, self.spec.d
         return _BYTES_PER_ELEMENT * self.N * (d if self.spec.separable else d + p * (d + 1))
 
@@ -122,7 +122,7 @@ def simulate_multidimensional(plan: SimulationPlan) -> SampleBatch:
         # einsum, not @: the draws stay independent of the BLAS build.
         out = np.einsum("km,jk->mj", scalar, template(spec))
     else:
-        coeff_fft = np.fft.rfft(_custom_coeff_stack(spec, horizon + 1), n=N, axis=0)
+        coeff_fft = np.fft.rfft(spec.coeffs[:horizon + 1], n=N, axis=0)
         series = np.fft.irfft(np.einsum("wjk,kw->jw", coeff_fft, innov_fft), n=N)
         del coeff_fft, innov_fft
         out = np.ascontiguousarray(series[:, :needed].T)

@@ -9,17 +9,20 @@ from lrdcov import custom_spec
 settings.register_profile("ci", derandomize=True)
 
 
+def lags(fn, H):
+    """The (H + 1, p, d) coefficient array A_0..A_H of a custom spec, A_t = fn(t)."""
+    return np.array([fn(t) for t in range(H + 1)])
+
+
 @pytest.fixture
 def iid_spec_p1():
     """Scalar i.i.d. process: A_0 = 1, A_t = 0 otherwise."""
-    return custom_spec(lambda t: np.eye(1) if t == 0 else np.zeros((1, 1)),
-                       beta=1.0, p=1, d=1, truncation=4)
+    return custom_spec(lags(lambda t: np.eye(1) if t == 0 else np.zeros((1, 1)), 4), beta=1.0)
 
 
 @pytest.fixture
 def iid_spec_p2():
-    return custom_spec(lambda t: np.eye(2) if t == 0 else np.zeros((2, 2)),
-                       beta=1.0, p=2, d=2, truncation=4)
+    return custom_spec(lags(lambda t: np.eye(2) if t == 0 else np.zeros((2, 2)), 4), beta=1.0)
 
 
 @pytest.fixture

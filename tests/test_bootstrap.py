@@ -366,11 +366,12 @@ def test_resolve_block_length_rules():
     assert resolve_block_length(FixedBlocks(17), 1000) == 17
     with pytest.raises(ValueError):
         resolve_block_length(FixedBlocks(0), 1000)
-    got = resolve_block_length(TheoreticalBlocks(0.5, beta=1.0), 10_000, 10)
-    assert got == theoretical_block_length(10_000, 10, 1.0, 0.5)
     got = resolve_block_length(TheoreticalBlocks(0.5), 10_000, 10, beta=1.0)
     assert got == theoretical_block_length(10_000, 10, 1.0, 0.5)
     with pytest.raises(OutOfRegimeError):
         resolve_block_length(TheoreticalBlocks(0.5), 10_000, 10)
+    for beta in (math.nan, math.inf):  # named, not left to fail in int()
+        with pytest.raises(ValueError, match=f"finite beta .*, got {beta} and 0.5"):
+            resolve_block_length(TheoreticalBlocks(0.5), 10_000, 10, beta=beta)
     with pytest.raises(TypeError, match="unknown block rule 'fixed:8'"):
         resolve_block_length("fixed:8", 1000)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,7 +153,9 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path):
                                         ("block_rule", "fixed:x"),
                                         ("structure", "banded:x"),
                                         # a seed numpy rejects after results.csv is opened
-                                        ("seed", -3)])
+                                        ("seed", -3),
+                                        # an infinite beta, which ran as an iid cell
+                                        ("betas", [math.inf])])
 def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, key, value):
     config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,
               "output_dir": str(tmp_path / "out"), key: value}
@@ -209,9 +212,11 @@ GRAMMAR = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
     (["--block-rule", "theoretical:0.5:1:x", "--beta", "2"],
      f"--block-rule must be {GRAMMAR}, got 'theoretical:0.5:1:x' "
      "(could not convert string to float: '1:x')"),
-    (["--block-rule", "theoretical:0.5"], "--block-rule 'theoretical:0.5' needs --beta")],
+    (["--block-rule", "theoretical:0.5"], "--block-rule 'theoretical:0.5' needs --beta"),
+    (["--block-rule", "theoretical:0.5", "--beta", "nan"], "--beta must be finite, got nan"),
+    (["--block-rule", "theoretical:0.5", "--beta", "inf"], "--beta must be finite, got inf")],
     ids=["fixed:x", "fixed:1.5", "theoretical:", "theoretical-trailing-token",
-         "theoretical-without-beta"])
+         "theoretical-without-beta", "beta-nan", "beta-inf"])
 def test_console_rejects_a_bad_bootstrap_option_in_one_line(tmp_path, options, message):
     path = tmp_path / "subject.csv"
     np.savetxt(path, np.random.default_rng(3).standard_normal((100, 2)), delimiter=",",
@@ -235,9 +240,10 @@ def simulate_args(out, **options):
     ({"copies": -1}, "--copies must be positive, got -1"),
     ({"copies": 20, "N": 100}, "--copies 20 needs --N of at least 200"),
     ({"structure": "banded:x"}, "--structure must be 'toeplitz' or 'banded:<bandwidth>', "
-                                "got 'banded:x' (invalid literal for int() with base 10: 'x')")],
+                                "got 'banded:x' (invalid literal for int() with base 10: 'x')"),
+    ({"beta": "nan"}, "beta must be finite and positive, got nan")],
     ids=["seed-2^64", "seed--1", "n-0", "n--4", "copies-0", "copies--1", "copies-over-N",
-         "structure-banded:x"])
+         "structure-banded:x", "beta-nan"])
 def test_console_rejects_a_bad_simulation_option_in_one_line(tmp_path, options, message):
     out = tmp_path / "batch.lrdsim"
     done = run_console("simulate", *simulate_args(out, **options))

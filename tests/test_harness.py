@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import lags
 
 import lrdcov.harness as harness
 import lrdcov.model as model
@@ -34,8 +35,7 @@ def small_config(tmp_path, **overrides):
 
 def test_degenerate_iid_cell_matches_scalar_reference():
     # p = 1 i.i.d.: sqrt(n) |sigma2_hat - 1| tends to |N(0, 2)|
-    spec = custom_spec(lambda t: np.eye(1) if t == 0 else np.zeros((1, 1)),
-                       beta=1.0, p=1, d=1, truncation=4)
+    spec = custom_spec(lags(lambda t: np.eye(1) if t == 0 else np.zeros((1, 1)), 4), beta=1.0)
     results, skipped = run_cell(spec, n=400, replicates=200, seed=7,
                                 targets=("cov_ga",))
     assert not skipped
@@ -86,23 +86,25 @@ def test_cell_centres_on_the_simulated_horizon():
            [(r.kind, r.ks, r.w1) for r in horizon]
 
 
-def test_custom_cell_reads_its_callback_only_up_to_the_horizon():
-    # n 100, 100 copies: N = 10^4, so the declared truncation 10^6 is capped at
-    # 9999 lags and the autocovariances take the matrix FFT branch
+def test_custom_cell_past_the_horizon_writes_the_bytes_of_its_cut_array(tmp_path):
+    # n 100, 100 copies: N = 10^4, so an array of 10^4 + 50 lags is capped at
+    # 9999 lags and the autocovariances take the matrix FFT branch; its lags past
+    # the horizon are huge, so a cell that read one would write other bytes
     horizon = 100 * 100 - 1
     mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
-
-    def coeff(t):
-        if t > horizon:
-            raise AssertionError(f"callback read at lag {t} > horizon {horizon}")
-        return (t + 1.0) ** -2.0 * mix
-
-    spec = custom_spec(coeff, beta=2.0, p=3, d=3, truncation=10**6)
-    results, skipped = run_cell(spec, n=100, replicates=100, seed=1,
-                                block_rule=FixedBlocks(10))
-    assert not skipped
-    assert [r.kind for r in results] == list(ALL_TARGETS)
-    assert all(0.0 <= r.ks < 0.5 for r in results)
+    coeffs = lags(lambda t: (t + 1.0) ** -2.0 * mix, horizon + 50)
+    coeffs[horizon + 1:] = 1e3
+    outputs = {}
+    for name, array in (("long", coeffs), ("cut", coeffs[:horizon + 1])):
+        outdir = tmp_path / name
+        results, skipped = run_cell(custom_spec(array, beta=2.0), n=100, replicates=100,
+                                    seed=1, block_rule=FixedBlocks(10), output_dir=str(outdir))
+        assert not skipped
+        assert [r.kind for r in results] == list(ALL_TARGETS)
+        assert all(0.0 <= r.ks < 0.5 for r in results)
+        outputs[name] = ([(r.kind, r.ks, r.w1) for r in results],
+                         {path.name: path.read_bytes() for path in sorted(outdir.iterdir())})
+    assert outputs["long"] == outputs["cut"]
 
 
 def test_precision_skipped_when_p_not_below_n():
@@ -324,7 +326,7 @@ def test_failed_sample_precision_skips_both_precision_targets(monkeypatch):
 def test_singular_truth_skips_both_precision_targets():
     # rank-one coefficients A_t = (t + 1)^-2 v: the true covariance has rank 1
     v = np.array([[1.0], [0.5], [-0.25]])
-    spec = custom_spec(lambda t: (t + 1.0) ** -2 * v, beta=2.0, p=3, d=1, truncation=100)
+    spec = custom_spec(lags(lambda t: (t + 1.0) ** -2 * v, 100), beta=2.0)
     results, skipped = run_cell(spec, n=40, replicates=10, seed=5,
                                 block_rule=FixedBlocks(5))
     assert [r.kind for r in results] == ["cov_ga", "cov_boot"]
@@ -375,7 +377,7 @@ import sys
 from lrdcov import FixedBlocks, custom_spec, run_cell
 from lrdcov.model import template, toeplitz_spec
 M = template(toeplitz_spec(2.0, 30))
-spec = custom_spec(lambda t: (t + 1.0) ** -2 * M, beta=2.0, p=30, d=30, truncation=3)
+spec = custom_spec([(t + 1.0) ** -2 * M for t in range(4)], beta=2.0)
 results, _ = run_cell(spec, n=100, replicates=100, seed=17, block_rule=FixedBlocks(10),
                       output_dir=sys.argv[1])
 for r in results:
@@ -429,8 +431,8 @@ def test_sidecar_writers_format(tmp_path):
 
 def coupled_custom_spec():
     mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
-    return custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=3, d=3,
-                       truncation=10**6)
+    # cells at n 40 with up to 40 copies simulate N = 1600 lags, so the cap cuts it
+    return custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 1650), beta=1.5)
 
 
 def count_lag_stacks(monkeypatch):
@@ -472,8 +474,7 @@ def test_custom_cell_builds_one_lag_stack_for_both_references(tmp_path, monkeypa
 def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
     p, n = 10, 12
     mix = np.eye(p) + 0.1 * np.random.default_rng(0).standard_normal((p, p))
-    spec = custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=p, d=p,
-                       truncation=10**6)
+    spec = custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 150), beta=1.5)  # N = 144
     calls = count_lag_stacks(monkeypatch)
     # one byte short of the dense reference's 48 p^4; the simulator's estimate,
     # 24 B x N (144) x (d + p (d + 1)), is 414720 bytes and fits
@@ -755,8 +756,7 @@ def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
     # DimensionTooLargeError from a custom reference, raised on the helper thread
     p, n = 10, 12
     mix = np.eye(p) + 0.1 * np.random.default_rng(0).standard_normal((p, p))
-    spec = custom_spec(lambda t: (t + 1.0) ** -1.5 * mix, beta=1.5, p=p, d=p,
-                       truncation=10**6)
+    spec = custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 150), beta=1.5)  # N = 144
     config = small_config(tmp_path, grid_n=[n], grid_p=[p], betas=[1.5], replicates=n,
                           block_rule=FixedBlocks(6), targets=ALL_TARGETS)
     monkeypatch.setattr(harness, "parse_structure", lambda token: lambda beta, p, t: spec)
@@ -825,13 +825,11 @@ def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
         assert sum(thread is not threading.current_thread() for thread, _ in states) == 3
 
 
-def test_simulation_budget_fails_before_the_callback_is_read(monkeypatch):
-    # the truth reads a custom spec's whole coefficient stack, so the simulation's
-    # budget is checked before it, as when the simulation came first
-    calls = []
-    mix = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [0.0, -0.5, 0.9]])
-    spec = custom_spec(lambda t: calls.append(t) or (t + 1.0) ** -1.5 * mix, beta=1.5,
-                       p=3, d=3, truncation=10**6)
+def test_simulation_budget_fails_before_any_lag_sum(monkeypatch):
+    # the truth sums a custom spec's H + 1 lags, so the simulation's budget is
+    # checked before it, as when the simulation came first
+    calls = count_lag_stacks(monkeypatch)
+    spec = coupled_custom_spec()
     plan = SimulationPlan(replace(spec, truncation=1599), 40, seed=0, N=1600,
                           copies_requested=40)
     monkeypatch.setattr(model, "MEMORY_BUDGET", plan.peak_bytes - 1)

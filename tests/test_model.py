@@ -1,9 +1,12 @@
 import math
 import os
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import lags
 
 import lrdcov.model as model
 from lrdcov import (CoefficientSpec, NotInvertibleError, OutOfRegimeError,
@@ -48,9 +51,43 @@ def test_coefficient_negative_lag_rejected():
 
 
 def test_coefficient_custom_shape_validated():
-    spec = custom_spec(lambda t: np.zeros((3, 3)), beta=1.0, p=2, d=2, truncation=2)
-    with pytest.raises(ValueError):
-        coefficient(spec, 0)
+    # the constructor checks the array once: its shape, then its entries lag by lag
+    for shape in ((3, 2), (3, 2, 2, 1), (0, 2, 2), (1, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"custom coefficient shape {shape} is not (H + 1, p, d), H > 0")):
+            custom_spec(np.zeros(shape), beta=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = np.ones((5, 2, 3))
+        coeffs[2, 1, 0] = coeffs[4, 0, 0] = bad
+        with pytest.raises(ValueError, match="custom coefficient A_2 has a non-finite entry"):
+            custom_spec(coeffs, beta=1.0)
+    spec = custom_spec([[[1.0, 2.0]], [[3.0, 4.0]]], beta=1.0)  # any array-like
+    assert (spec.p, spec.d, spec.truncation) == (1, 2, 1)
+
+
+def test_custom_spec_keeps_a_read_only_copy():
+    coeffs = lags(lambda t: (t + 1.0) ** -1.5 * np.array([[1.0, 0.3], [-0.2, 0.8]]), 6)
+    spec = custom_spec(coeffs, beta=1.5)
+    gamma = autocovariance(spec, 1)
+    coeffs[:] = 99.0  # the caller's array is still the caller's
+    assert np.array_equal(autocovariance(spec, 1), gamma)
+    assert coefficient(spec, 0)[0, 0] == 1.0
+    for view in (spec.coeffs, coefficient(spec, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 0.0
+    assert spec == custom_spec(coeffs, beta=1.5)  # equality ignores the coefficients
+    assert hash(spec) == hash(custom_spec(coeffs, beta=1.5))
+
+
+def test_custom_coefficient_past_the_truncation_raises():
+    spec = custom_spec(np.ones((5, 2, 2)), beta=1.0)
+    assert np.array_equal(coefficient(spec, 4), np.ones((2, 2)))
+    with pytest.raises(TruncationExceededError, match="lag 5 exceeds truncation 4"):
+        coefficient(spec, 5)
+    with pytest.raises(TruncationExceededError, match="lag 3 exceeds truncation 2"):
+        coefficient(replace(spec, truncation=2), 3)
+    with pytest.raises(ValueError, match=r"requires coefficients A_0\.\.A_truncation"):
+        replace(spec, truncation=5)  # a horizon past the array
 
 
 # --- autocovariance -----------------------------------------------------------
@@ -77,8 +114,8 @@ def test_autocovariance_negative_lag_transposes():
     # asymmetric coefficients so Gamma_k is not symmetric
     a0 = np.array([[1.0, 0.5], [0.0, 1.0]])
     a1 = np.array([[0.2, 0.0], [0.7, 0.1]])
-    spec = custom_spec(lambda t: [a0, a1][t] if t < 2 else np.zeros((2, 2)),
-                       beta=1.0, p=2, d=2, truncation=6)
+    spec = custom_spec(lags(lambda t: [a0, a1][t] if t < 2 else np.zeros((2, 2)), 6),
+                       beta=1.0)
     gam1 = autocovariance(spec, 1)
     assert np.abs(gam1 - gam1.T).max() > 1e-3  # genuinely asymmetric
     assert np.array_equal(autocovariance(spec, -1), gam1.T)
@@ -107,8 +144,7 @@ def test_toeplitz_gamma_decays_in_lag():
 def test_separable_matches_generic_custom_route():
     p, beta = 3, 1.2
     reference = toeplitz_spec(beta, p, truncation=300)
-    mirrored = custom_spec(lambda t: coefficient(reference, t),
-                           beta=beta, p=p, d=p, truncation=300)
+    mirrored = custom_spec(lags(lambda t: coefficient(reference, t), 300), beta=beta)
     for k in (0, 2):
         assert np.allclose(autocovariance(reference, k), autocovariance(mirrored, k),
                            rtol=1e-10)
@@ -139,8 +175,11 @@ def test_fft_lag_sums_match_the_loop(monkeypatch, beta):
 def asymmetric_custom_spec(beta, truncation):
     """p 2, d 3: A_t = (t+1)^-beta (C + t/(t+2) I_{2x3}), no symmetry in A_t or Gamma_k."""
     base = np.array([[1.0, 0.4, -0.3], [-0.6, 0.2, 0.9]])
-    return custom_spec(lambda t: (t + 1.0) ** -beta * (base + t / (t + 2.0) * np.eye(2, 3)),
-                       beta=beta, p=2, d=3, truncation=truncation)
+
+    def coeff(t):
+        return (t + 1.0) ** -beta * (base + t / (t + 2.0) * np.eye(2, 3))
+
+    return custom_spec(lags(coeff, truncation), beta=beta)
 
 
 @pytest.mark.parametrize("beta", [0.55, 0.9, 2.0])
@@ -173,9 +212,8 @@ def test_true_precision_identity(iid_spec_p2):
 
 
 def test_true_precision_diagonal():
-    spec = custom_spec(
-        lambda t: np.diag([math.sqrt(2.0), 2.0]) if t == 0 else np.zeros((2, 2)),
-        beta=1.0, p=2, d=2, truncation=2)
+    spec = custom_spec(lags(
+        lambda t: np.diag([math.sqrt(2.0), 2.0]) if t == 0 else np.zeros((2, 2)), 2), beta=1.0)
     truth = process_truth(spec, lags=1)
     assert np.allclose(truth.sigma, np.diag([2.0, 4.0]), rtol=1e-12)
     assert np.allclose(truth.omega, np.diag([0.5, 0.25]), rtol=1e-12)
@@ -188,9 +226,9 @@ def test_true_precision_residual_toeplitz():
 
 
 def test_true_precision_singular_reports_eigenvalue():
-    spec = custom_spec(
-        lambda t: np.array([[1.0, 0.0], [1.0, 0.0]]) if t == 0 else np.zeros((2, 2)),
-        beta=1.0, p=2, d=2, truncation=2)
+    spec = custom_spec(lags(
+        lambda t: np.array([[1.0, 0.0], [1.0, 0.0]]) if t == 0 else np.zeros((2, 2)), 2),
+        beta=1.0)
     truth = process_truth(spec, lags=1)
     assert truth.omega is None
     with pytest.raises(NotInvertibleError) as err:  # the call process_truth makes
@@ -243,23 +281,27 @@ def test_autocovariance_sequence_is_the_truncated_sum(make_spec):
                                    atol=1e-12 * scale)
 
 
-def test_custom_callback_is_read_only_up_to_the_truncation():
+def test_custom_spec_sums_only_its_first_lags_up_to_the_truncation():
+    # lags past H = 12 are huge: any sum that read one would be far off the oracle
     H = 12
-
-    def coeff(t):
-        if t > H:
-            raise AssertionError(f"callback read at lag {t} > truncation {H}")
-        return (t + 1.0) ** -0.55 * np.array([[1.0, 0.2], [-0.3, 0.9]])
-
-    spec = custom_spec(coeff, beta=0.55, p=2, d=2, truncation=H)
-    np.testing.assert_allclose(autocovariance(spec, -H), truncated_gamma(spec, -H),
-                               rtol=1e-14)
-    truth = process_truth(spec)
+    coeffs = lags(lambda t: (t + 1.0) ** -0.55 * np.array([[1.0, 0.2], [-0.3, 0.9]]), H + 8)
+    coeffs[H + 1:] = 1e6
+    spec = replace(custom_spec(coeffs, beta=0.55), truncation=H)
+    oracle = custom_spec(coeffs[:H + 1], beta=0.55)
+    for k in (-H, H):
+        np.testing.assert_allclose(autocovariance(spec, k), truncated_gamma(oracle, k),
+                                   rtol=1e-14)
+    truth, want = process_truth(spec), process_truth(oracle)
     assert truth.gamma.shape == (H + 1, 2, 2)
+    assert np.array_equal(truth.gamma, want.gamma)
+    assert np.array_equal(truth.omega, want.omega)
     for n in (5, 50, None):
-        assert np.all(np.isfinite(gaussian_long_run_covariance(truth, n)))
-        assert np.all(np.isfinite(omega_transformed_long_run(truth, n)))
-    assert condition1_constant(spec) > 0 and gamma_tail_bound(spec) > 0
+        assert np.array_equal(gaussian_long_run_covariance(truth, n),
+                              gaussian_long_run_covariance(want, n))
+        assert np.array_equal(omega_transformed_long_run(truth, n),
+                              omega_transformed_long_run(want, n))
+    assert condition1_constant(spec) == condition1_constant(oracle)
+    assert gamma_tail_bound(spec) == gamma_tail_bound(oracle)
 
 
 def test_condition1_constant_custom_scans_lags_up_to_200():
@@ -268,9 +310,9 @@ def test_condition1_constant_custom_scans_lags_up_to_200():
 
     expected = max(float(np.sqrt((coeff(t) ** 2).sum(axis=1)).max()) * max(1, t) ** 1.5
                    for t in range(201))
-    spec = custom_spec(coeff, beta=1.5, p=2, d=2, truncation=10_000)
+    spec = custom_spec(lags(coeff, 10_000), beta=1.5)
     assert condition1_constant(spec) == pytest.approx(expected, rel=1e-12)
-    short = custom_spec(coeff, beta=1.5, p=2, d=2, truncation=100)
+    short = custom_spec(lags(coeff, 100), beta=1.5)
     assert condition1_constant(short) < expected
 
 
@@ -297,8 +339,8 @@ def direct_long_run(spec, transform=None, n=None):
 @pytest.mark.parametrize("make_spec", [
     lambda: toeplitz_spec(0.55, 3, truncation=40),
     lambda: banded_spec(0.9, 3, bandwidth=1, truncation=25),
-    lambda: custom_spec(lambda t: (t + 1.0) ** -0.7 * np.array([[1.0, 0.3], [-0.2, 0.8]]),
-                        beta=0.7, p=2, d=2, truncation=15),
+    lambda: custom_spec(lags(lambda t: (t + 1.0) ** -0.7 * np.array([[1.0, 0.3], [-0.2, 0.8]]),
+                             15), beta=0.7),
 ], ids=["toeplitz", "banded", "custom"])
 def test_long_run_unweighted_direct_oracle(make_spec):
     spec = make_spec()
@@ -313,8 +355,8 @@ def test_long_run_unweighted_direct_oracle(make_spec):
 
 @pytest.mark.parametrize("n", [None, 7])
 @pytest.mark.parametrize("make_spec", [
-    lambda: custom_spec(lambda t: (t + 1.0) ** -0.7 * np.array([[1.0, 0.3], [-0.2, 0.8]]),
-                        beta=0.7, p=2, d=2, truncation=15),
+    lambda: custom_spec(lags(lambda t: (t + 1.0) ** -0.7 * np.array([[1.0, 0.3], [-0.2, 0.8]]),
+                             15), beta=0.7),
     lambda: asymmetric_custom_spec(0.7, 15),
 ], ids=["asymmetric", "p2_d3"])
 def test_long_run_fejer_direct_oracle(make_spec, n):
@@ -402,9 +444,8 @@ def test_omega_transform_identity_covariance(iid_spec_p2):
 
 
 def test_omega_transform_scaled_identity():
-    spec = custom_spec(
-        lambda t: math.sqrt(2.0) * np.eye(2) if t == 0 else np.zeros((2, 2)),
-        beta=1.0, p=2, d=2, truncation=2)
+    spec = custom_spec(lags(
+        lambda t: math.sqrt(2.0) * np.eye(2) if t == 0 else np.zeros((2, 2)), 2), beta=1.0)
     truth = process_truth(spec, lags=1)
     transformed = omega_transformed_long_run(truth, 10)
     assert transformed[0, 0] == pytest.approx(0.5, rel=1e-12)
@@ -431,9 +472,9 @@ def test_omega_transform_two_pass_oracle():
 
 
 def test_omega_transform_requires_precision():
-    spec = custom_spec(
-        lambda t: np.array([[1.0, 0.0], [1.0, 0.0]]) if t == 0 else np.zeros((2, 2)),
-        beta=1.0, p=2, d=2, truncation=2)
+    spec = custom_spec(lags(
+        lambda t: np.array([[1.0, 0.0], [1.0, 0.0]]) if t == 0 else np.zeros((2, 2)), 2),
+        beta=1.0)
     truth = process_truth(spec, lags=1)
     with pytest.raises(NotInvertibleError):
         omega_transformed_long_run(truth, 10)
@@ -475,6 +516,14 @@ def test_rates_out_of_regime():
 def test_rates_epsilon_validated():
     with pytest.raises(ValueError):
         theoretical_rates(2.0, 1000, 10, 0.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_rates_reject_a_non_finite_beta(beta):
+    # not four NaNs: a NaN or infinite beta passes the beta <= 3/4 check
+    with pytest.raises(ValueError, match=re.escape(
+            f"rates need a finite beta and epsilon in (0, 1), got {beta} and 0.5")):
+        theoretical_rates(beta, 100, 2, 0.5)
 
 
 def test_rates_monotone_in_n_and_p():
@@ -530,12 +579,14 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         CoefficientSpec("toeplitz", 2.0, 3, 2, 100)  # d != p
     for args, message in [(("ar1", 2.0, 2, 2, 10), "unknown structure 'ar1'"),
+                          (("toeplitz", math.nan, 2, 2, 10), "finite and positive, got nan"),
+                          (("toeplitz", math.inf, 2, 2, 10), "finite and positive, got inf"),
                           (("toeplitz", 2.0, 0, 2, 10), "dimensions must be positive"),
                           (("toeplitz", 2.0, 2, 2, 0), "truncation must be positive"),
-                          (("custom", 2.0, 2, 2, 10), "custom structure requires a callback")]:
+                          (("custom", 2.0, 2, 2, 10), "custom structure requires coefficients")]:
         with pytest.raises(ValueError, match=message):
             CoefficientSpec(*args)
-    custom = custom_spec(lambda t: np.eye(2), beta=2.0, p=2, d=2, truncation=10)
+    custom = custom_spec(lags(lambda t: np.eye(2), 10), beta=2.0)
     with pytest.raises(ValueError, match="custom specs have no separable template"):
         model.template(custom)
 

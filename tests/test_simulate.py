@@ -1,9 +1,11 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import lags
 
 import lrdcov.model as model
 from lrdcov import (InvalidPlanError, MemoryBudgetError, SampleBatch,
@@ -36,8 +38,8 @@ def _circulant_oracle(plan):
 
 def _mixing_spec(p, d, truncation, beta=0.8):
     B = np.random.default_rng(3).standard_normal((p, d))
-    return custom_spec(lambda t: B * np.cos(t) * (t + 1.0) ** -beta,
-                       beta=beta, p=p, d=d, truncation=truncation)
+    return custom_spec(lags(lambda t: B * np.cos(t) * (t + 1.0) ** -beta, truncation),
+                       beta=beta)
 
 
 @pytest.mark.parametrize("spec", [
@@ -73,23 +75,20 @@ def test_time_domain_convolution_up_to_horizon(spec):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
-def test_custom_callback_runs_only_up_to_truncation():
-    calls = []
-
-    def fn(t):
-        if t > 6:
-            raise AssertionError(f"lag {t} beyond the truncation")
-        calls.append(t)
-        return np.full((2, 3), (t + 1.0) ** -1.5)
-
-    spec = custom_spec(fn, beta=1.5, p=2, d=3, truncation=6)
-    batch = simulate_multidimensional(SimulationPlan(spec, n=8, seed=2, N=64))
-    assert batch.data.shape == (8, 8, 2)
-    assert sorted(calls) == list(range(7))
+def test_custom_simulation_draws_only_lags_up_to_the_truncation():
+    # lags past the truncation 6 are huge: a path that read one would be far off
+    coeffs = lags(lambda t: np.full((2, 3), (t + 1.0) ** -1.5), 20)
+    coeffs[7:] = 1e6
+    want = simulate_multidimensional(
+        SimulationPlan(custom_spec(coeffs[:7], beta=1.5), n=8, seed=2, N=64)).data
+    got = simulate_multidimensional(SimulationPlan(
+        replace(custom_spec(coeffs, beta=1.5), truncation=6), n=8, seed=2, N=64)).data
+    assert got.shape == (8, 8, 2)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("spec", [toeplitz_spec(2.0, 4, truncation=10**6),
-                                  _mixing_spec(3, 4, truncation=10**6)],
+                                  _mixing_spec(3, 4, truncation=20_050)],
                          ids=["toeplitz", "custom"])
 def test_tracemalloc_peak_within_estimate(spec):
     plan = SimulationPlan(spec, n=100, seed=1, N=20_000)
