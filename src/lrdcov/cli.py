@@ -50,7 +50,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_simulate(args) -> int:
     build = _parse_token(parse_structure, args.structure, "--structure", STRUCTURE_FORMS)
-    for name in ("n", "copies"):
+    for name in ("n", "p", "copies"):
         if getattr(args, name) < 1:
             raise ValueError(f"--{name} must be positive, got {getattr(args, name)}")
     N = args.N if args.N is not None else args.n * max(args.n, args.copies)
@@ -147,15 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
 def run(argv=None) -> None:
-    """Console entry point: main(), with input errors as one stderr line, status 1."""
+    """Console entry point: one subcommand; an input error exits with one stderr line."""
     try:
-        sys.exit(main(argv))
+        args = build_parser().parse_args(argv)
+        sys.exit(args.func(args))
     except (LrdcovError, ValueError, OSError) as exc:
         sys.exit(f"lrdcov: error: {exc}")
 

@@ -458,7 +458,13 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     with pool or nullcontext(), open(outdir / "results.csv", "w", newline="\n") as fh:
         fh.write(RESULTS_HEADER)
         fh.flush()
-        for results, skipped in (pool.map if pool else map)(work, enumerate(cells)):
+        if pool:  # each cell in its own copy of the caller's context: numpy's error state
+            futures = [pool.submit(contextvars.copy_context().run, work, item)
+                       for item in enumerate(cells)]
+            outcomes = (future.result() for future in futures)
+        else:
+            outcomes = map(work, enumerate(cells))
+        for results, skipped in outcomes:
             for r in results:
                 fh.write(f"{r.n},{r.p},{r.beta:.6g},{r.kind},{r.ks:.6g},{r.w1:.6g},"
                          f"0,{r.seed}\n")

@@ -58,9 +58,9 @@ class AcfSignificance:
 def ingest(path) -> SubjectSeries:
     """Read one subject's CSV (header row of labels, numeric rows), demeaned.
 
-    Blank lines are skipped and cells may be quoted or padded with spaces;
-    every value must be a finite number, and so must each demeaned column's
-    sum of squares.
+    Labels must be distinct after stripping spaces.  Blank lines are skipped
+    and cells may be quoted or padded with spaces; every value must be a
+    finite number, and so must each demeaned column's sum of squares.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -69,6 +69,11 @@ def ingest(path) -> SubjectSeries:
     if header is None:
         raise ValueError(f"{path}: empty file")
     labels = tuple(cell.strip() for cell in header)
+    first = {}
+    for k, label in enumerate(labels, start=1):
+        if first.setdefault(label, k) != k:  # a repeated label would merge two edges
+            raise ValueError(f"{path}: columns {first[label]} and {k} share the label "
+                             f"{label!r}")
     if not body.strip("\r\n"):
         raise ValueError(f"{path}: no data rows")
     try:  # comments=None: the default "#" would silently cut a cell short

@@ -825,6 +825,24 @@ def test_reference_lane_keeps_the_callers_error_state(monkeypatch):
         assert sum(thread is not threading.current_thread() for thread, _ in states) == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_cells_keep_the_callers_error_state(tmp_path, monkeypatch, workers):
+    # numpy's error state is a context variable, which a pool thread does not inherit
+    states = []
+    draw = harness.sample_max_abs
+
+    def recording(ref, reps, seed):
+        states.append(np.geterr()["over"])
+        return draw(ref, reps, seed)
+
+    monkeypatch.setattr(harness, "sample_max_abs", recording)
+    config = small_config(tmp_path, grid_n=[64], grid_p=[2, 3], replicates=10,
+                          targets=("cov_ga",))
+    with np.errstate(over="raise"):
+        assert len(run_grid(config, workers=workers)) == 2
+    assert states == ["raise", "raise"]
+
+
 def test_simulation_budget_fails_before_any_lag_sum(monkeypatch):
     # the truth sums a custom spec's H + 1 lags, so the simulation's budget is
     # checked before it, as when the simulation came first

@@ -116,6 +116,19 @@ def test_ingest_names_cells_that_float_takes_but_numpy_rejects(tmp_path, cell):
         ingest(path)
 
 
+@pytest.mark.parametrize("header, columns, label", [("a,a,b", "1 and 2", "a"),
+                                                    ("a,b, a", "1 and 3", "a"),
+                                                    ("x,b,b ", "2 and 3", "b")],
+                         ids=["first-two", "padded", "trailing-space"])
+def test_ingest_rejects_repeated_labels(tmp_path, header, columns, label):
+    # edges are keyed by label pair, so a repeated label would merge two columns' edges
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError) as err:
+        ingest(path)
+    assert str(err.value) == f"{path}: columns {columns} share the label {label!r}"
+
+
 def test_ingest_rejects_overflowing_squares(huge_csv):
     with pytest.raises(ValueError, match=r"huge\.csv: column 'b'.*not finite"):
         ingest(huge_csv)
