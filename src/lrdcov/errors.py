@@ -42,7 +42,7 @@ class InvalidPlanError(LrdcovError):
 
 
 class MemoryBudgetError(LrdcovError):
-    """Simulation buffers would exceed model.MEMORY_BUDGET."""
+    """Simulation or per-copy statistic buffers would exceed model.MEMORY_BUDGET."""
 
 
 class ZeroVarianceError(LrdcovError):

@@ -28,14 +28,19 @@ draws.  It runs on the cell's one helper thread: queued before the simulation
 when both lanes' estimated peaks fit model.MEMORY_BUDGET together (numpy
 releases the GIL in the draws, FFTs, einsum and batched linear algebra), so
 the cell's peak memory is their sum, and after the per-copy statistics
-otherwise.  Those come in two blocks of copies, whose (copies, p, p) stacks
-die with the block: the first half is queued on the helper while the calling
-thread scores the second, and a first half the helper has not started by then
-is taken back and scored inline.  Each lane draws from its own seed, every
-batched call treats each copy on its own and scoring stays on the calling
-thread, so the outputs do not depend on which thread ran what.  One DEBUG
-record per cell, under the "lrdcov.harness" logger, gives the wall time of
-each phase and which thread ran each block.
+otherwise.  The calling thread's peak is the simulation's, or the paths beside
+both copy blocks' (copies, p, p) stacks if that is larger; a cell whose
+calling thread alone would exceed the budget raises MemoryBudgetError before
+it simulates.  The helper also takes half of the work three times, each time
+in a half queued on it while the calling thread runs the other
+(simulate._in_halves): the simulation's transforms, its template product, and
+the per-copy statistics, in two blocks of copies whose stacks die with the
+block.  A half the helper has not started by then, because the reference lane
+still holds it, is taken back and run inline.  Each lane draws from its own
+seed, every half computes what the whole would for its channels or copies and
+scoring stays on the calling thread, so the outputs do not depend on which
+thread ran what.  One DEBUG record per cell, under the "lrdcov.harness"
+logger, gives the wall time of each phase and which thread ran each block.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
@@ -64,7 +69,7 @@ import numpy as np
 
 from . import model
 from .bootstrap import DefaultBlocks, FixedBlocks, TheoreticalBlocks, resolve_block_length
-from .errors import LrdcovError
+from .errors import LrdcovError, MemoryBudgetError
 from .estimate import max_deviation, sample_covariance, sample_precision
 from .gaussref import _CHUNK_ELEMENTS, MatrixReference, build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
@@ -72,7 +77,7 @@ from .model import (_REFERENCE_BYTES_PER_P4, CoefficientSpec, ProcessTruth,
                     _check_dense_cap, _long_run_factor, autocovariance_sequence,
                     banded_spec, gaussian_long_run_covariance, omega_transformed_long_run,
                     process_truth, template, toeplitz_spec)
-from .simulate import SimulationPlan, _check_budget, simulate_multidimensional
+from .simulate import SimulationPlan, _check_budget, _in_halves, simulate_multidimensional
 
 COV_GA = "cov_ga"
 COV_BOOT = "cov_boot"
@@ -87,6 +92,11 @@ ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
 _FACTOR_BYTES_PER_POINT = 12
 _DRAW_BYTES_PER_ELEMENT = 32
 _LAG_BYTES_PER_ELEMENT = 16
+# Copy-block peak bytes per copy and (p, p) entry, within 10% of tracemalloc
+# peaks at p 2-200: Sigma_hat, `dev` and a temporary, and with the precision
+# targets Omega_hat, its window conjugate and their temporaries.
+_COV_BLOCK_BYTES_PER_ENTRY = 24
+_PREC_BLOCK_BYTES_PER_ENTRY = 42
 
 _log = logging.getLogger(__name__)
 
@@ -264,7 +274,8 @@ def _copy_block(X: np.ndarray, ends: np.ndarray, truth: ProcessTruth, l: int, pr
         # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the
         # same for its Omega_hat conjugate; one window serves both statistics
         rows = X[np.arange(lo, hi)[:, None], ends[lo:hi, None] - l + np.arange(l)]
-        dev = np.swapaxes(rows, 1, 2) @ rows - l * est.sigma_hat
+        dev = np.swapaxes(rows, 1, 2) @ rows
+        dev -= l * est.sigma_hat
         if COV_BOOT in boots:
             stats[COV_BOOT] = np.abs(dev).max(axis=(1, 2)) / math.sqrt(l)
     if prec:
@@ -299,6 +310,21 @@ def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
         return max(_FACTOR_BYTES_PER_POINT * points, draws)
     return (_REFERENCE_BYTES_PER_P4 * p**4
             + _LAG_BYTES_PER_ELEMENT * points * p * (p + spec.d) + draws)
+
+
+def _blocks_peak_bytes(p: int, l: int, copies: int, prec: bool) -> int:
+    """Estimated peak bytes of copy blocks over `copies` copies in all, running at
+    once: per copy, the window's (l, p) rows beside the larger of their gather
+    (two (l,) index rows and Sigma_hat) and the (p, p) stacks of _copy_block."""
+    per_entry = _PREC_BLOCK_BYTES_PER_ENTRY if prec else _COV_BLOCK_BYTES_PER_ENTRY
+    return copies * (8 * l * p + max(8 * (2 * l + p * p), per_entry * p * p))
+
+
+def _main_peak_bytes(plan: SimulationPlan, l: int, prec: bool) -> int:
+    """Estimated peak bytes of a cell's calling thread: the simulation's, or the
+    (copies, n, p) paths beside both copy blocks, whichever is larger."""
+    copies, n, p = plan.copies_requested, plan.n, plan.spec.p
+    return max(plan.peak_bytes, 8 * copies * n * p + _blocks_peak_bytes(p, l, copies, prec))
 
 
 def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
@@ -340,31 +366,24 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     # fails, known only after the simulation, its draws go unused
     ga_kinds = [k for k in kinds if k == COV_GA or k == PREC_GA and reason is None]
     boots = [k for k in kinds if k == COV_BOOT or k == PREC_BOOT and reason is None]
+    prec = bool(prec_kinds) and reason is None
+    main = _main_peak_bytes(plan, l, prec)
+    if main > model.MEMORY_BUDGET:
+        raise MemoryBudgetError(f"{replicates} copies of a {n} x {p} path with their "
+                                f"per-copy statistics need an estimated {main} bytes, "
+                                f"over the budget of {model.MEMORY_BUDGET} bytes")
     lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
                    replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
-    fits = plan.peak_bytes + (_reference_peak_bytes(spec, replicates) if ga_kinds
-                              else 0) <= model.MEMORY_BUDGET
+    fits = main + (_reference_peak_bytes(spec, replicates) if ga_kinds
+                   else 0) <= model.MEMORY_BUDGET
     with ThreadPoolExecutor(1, "lrdcov-helper") as pool:
         helper = pool.submit(_timed, lane) if fits else None
         sim_s = time.perf_counter()
-        X = simulate_multidimensional(plan).data
+        X = simulate_multidimensional(plan, pool).data
         sim_s = time.perf_counter() - sim_s
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
-        block = partial(_copy_block, X, ends, truth, l, bool(prec_kinds) and reason is None,
-                        boots)
-        # The helper takes copies [0, R/2) once its queue reaches them, while this
-        # thread runs [R/2, R); a first half the helper has not started by then is
-        # taken back and run here, so a long lane never holds the cell up.
-        half = replicates // 2
-        first = (pool.submit(contextvars.copy_context().run, _timed, block, 0, half)
-                 if half else None)
-        try:
-            blocks = [_timed(block, half, replicates)]
-        finally:
-            if first is not None and first.cancel():
-                first = None
-        if half:
-            blocks.insert(0, first.result() if first else _timed(block, 0, half))
+        block = partial(_copy_block, X, ends, truth, l, prec, boots)
+        blocks = _in_halves(pool, partial(_timed, block), replicates)
         draws, lane_thread, lane_s = (helper or pool.submit(_timed, lane)).result()
 
     outs = [out for out, _, _ in blocks]
@@ -412,6 +431,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
         _write_ecdf(outdir / f"ecdf_{tag}.csv", samples)
     write_s = time.perf_counter() - write_s
     if _log.isEnabledFor(logging.DEBUG):
+        half = replicates // 2
         bounds = [(0, half), (half, replicates)] if half else [(0, replicates)]
         _log.debug("cell n=%d p=%d beta=%.6g: simulate %.4f s; copies %s; reference "
                    "lane %.4f s on %s; scoring %.4f s; sidecars %.4f s", n, p, beta, sim_s,

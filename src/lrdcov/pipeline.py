@@ -32,7 +32,23 @@ ACF_LAG_HI = 100
 class SubjectSeries:
     id: str
     data: np.ndarray            # n x p, demeaned per column
-    labels: tuple[str, ...]
+    labels: tuple[str, ...]     # one per column, distinct: edges are keyed by them
+
+    def __post_init__(self):
+        columns = np.shape(self.data)[-1]
+        problem = (f"{len(self.labels)} labels for {columns} columns"
+                   if len(self.labels) != columns else _repeated_label(self.labels))
+        if problem:
+            raise ValueError(f"subject {self.id!r}: {problem}")
+
+
+def _repeated_label(labels: Sequence[str]) -> Optional[str]:
+    """'columns j and k share the label ...' for the first repeat (1-based), or None."""
+    first = {}
+    for k, label in enumerate(labels, start=1):
+        if first.setdefault(label, k) != k:
+            return f"columns {first[label]} and {k} share the label {label!r}"
+    return None
 
 
 @dataclass
@@ -69,11 +85,9 @@ def ingest(path) -> SubjectSeries:
     if header is None:
         raise ValueError(f"{path}: empty file")
     labels = tuple(cell.strip() for cell in header)
-    first = {}
-    for k, label in enumerate(labels, start=1):
-        if first.setdefault(label, k) != k:  # a repeated label would merge two edges
-            raise ValueError(f"{path}: columns {first[label]} and {k} share the label "
-                             f"{label!r}")
+    repeated = _repeated_label(labels)
+    if repeated:  # checked before the body is parsed
+        raise ValueError(f"{path}: {repeated}")
     if not body.strip("\r\n"):
         raise ValueError(f"{path}: no data rows")
     try:  # comments=None: the default "#" would silently cut a cell short

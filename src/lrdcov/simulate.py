@@ -8,14 +8,27 @@ real FFT along time.  Built-in structures factor as A_t = c_t M, so they take
 d scalar convolutions and one product with M^T.  One pass yields floor(N/n)
 copies of an n x p path, treated as independent replicates downstream; their
 wrap-around dependence is negligible for N >> n (the default is N = n^2).
+
+The innovations are drawn in chunks of _CHUNK_ROWS rows of E, each written
+straight into one feature-major (d, N) buffer, so the draw never holds the
+whole stream twice.  A built-in spec then convolves that buffer in place, one
+channel per transform call, and writes the product with M^T straight into
+the output.  Both steps split their work in two halves, of the channels and
+then of the copies; given an executor, one half is queued on it while the
+calling thread runs the other, and a half it has not started by then is taken
+back.  Every half computes the same bits as the whole, so the paths do not
+depend on which thread ran what.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import struct
+from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,9 +36,19 @@ from . import model
 from .errors import InvalidPlanError, MemoryBudgetError
 from .model import CoefficientSpec, decay_sequence, template
 
-# Estimated peak bytes per N*d element: two (d, N) arrays or transforms alive
-# at once plus FFT buffers (measured peak RSS: 18-20 B at d = 10, N >= 10^6).
-_BYTES_PER_ELEMENT = 24
+# Estimated peak bytes of a built-in spec: 20 per N*d element and 4 per lag.
+# The (d, N) innovations live throughout, beside the output or beside the
+# decay's transform and each running transform call's spectrum and FFT
+# scratch, about 24 B per lag.  Peak RSS at d = 10, N >= 10^6: 14-16 B per
+# element with half of the transforms on a helper thread; below d = 5 the
+# per-lag buffers outgrow the estimate (22 B per element at d = 4, 40 B at
+# d = 1).  A custom spec adds 24 per lag and entry of its (p, N) convolutions
+# and its (N, p, d) coefficients' transform.
+_BYTES_PER_ELEMENT = 20
+_BYTES_PER_LAG = 4
+_CUSTOM_BYTES_PER_ELEMENT = 24
+# Rows of E per standard_normal call: a chunk and its transpose stay in cache.
+_CHUNK_ROWS = 1 << 13
 
 _MAGIC = b"LRDSIM1"
 _DERIVATION = ("PCG64(SeedSequence(seed)); innovations drawn once as "
@@ -66,8 +89,10 @@ class SimulationPlan:
     def peak_bytes(self) -> int:
         """Estimated peak bytes of simulating this plan; a custom spec adds its (p, N)
         convolutions, its coefficients' transform and the (N, p, d) stack the spec holds."""
-        p, d = self.spec.p, self.spec.d
-        return _BYTES_PER_ELEMENT * self.N * (d if self.spec.separable else d + p * (d + 1))
+        p, d, N = self.spec.p, self.spec.d, self.N
+        built_in = _BYTES_PER_ELEMENT * N * d + _BYTES_PER_LAG * N
+        return built_in + (0 if self.spec.separable
+                           else _CUSTOM_BYTES_PER_ELEMENT * N * p * (d + 1))
 
 
 @dataclass(frozen=True)
@@ -90,43 +115,107 @@ def _check_budget(plan: SimulationPlan) -> None:
                                 f"{model.MEMORY_BUDGET} bytes")
 
 
-def simulate_multidimensional(plan: SimulationPlan) -> SampleBatch:
+def _in_halves(pool: Optional[Executor], fn: Callable[[int, int], object],
+               total: int) -> list:
+    """[fn(0, h), fn(h, total)] with h = total // 2, or [fn(0, total)] when h is 0.
+
+    The first half is queued on `pool` in a copy of the caller's context while
+    this thread runs the second; a first half the pool has not started by then
+    is taken back and run here, so a busy pool never holds the caller up.
+    Without a pool both halves run here.
+    """
+    half = total // 2
+    if not half:
+        return [fn(0, total)]
+    # a cancelled job stays queued until the pool is free, so it holds fn, and the
+    # arrays fn holds, only through `job`, which taking it back empties
+    job = [fn]
+    first = (pool.submit(contextvars.copy_context().run, lambda: job.pop()(0, half))
+             if pool else None)
+    try:
+        second = fn(half, total)
+    finally:
+        if first is not None and first.cancel():
+            first = None
+            job.clear()
+    return [first.result() if first else fn(0, half), second]
+
+
+def _innovations(rng: np.random.Generator, N: int, d: int) -> np.ndarray:
+    """The (d, N) transpose of E, E[s, k] = stream[((s+1)*d - k) mod N*d] for the
+    stream of N*d standard normals `rng` draws next: innovation row 0 is the
+    stream's column 0 rolled by one, the others its columns d-1..1.  That map
+    fixes which normal feeds which lag, so a seed always draws the same paths;
+    the stream is drawn in chunks of _CHUNK_ROWS rows, the same values as one
+    call."""
+    innov = np.empty((d, N))
+    chunk = np.empty((min(N, _CHUNK_ROWS), d))
+    for lo in range(0, N, _CHUNK_ROWS):
+        rows = chunk[:min(_CHUNK_ROWS, N - lo)]
+        rng.standard_normal(out=rows)
+        hi = lo + len(rows)
+        innov[1:, lo:hi] = rows[:, :0:-1].T
+        if lo:
+            innov[0, lo - 1:hi - 1] = rows[:, 0]
+        else:  # stream row 0 feeds the last lag of channel 0
+            innov[0, :hi - 1], innov[0, -1] = rows[1:, 0], rows[0, 0]
+    return innov
+
+
+def _convolve(innov: np.ndarray, kernel_fft: np.ndarray, lo: int, hi: int) -> None:
+    """Circularly convolve channels lo:hi of `innov`, in place, with the kernel
+    whose rfft is `kernel_fft`, one channel per transform call: a call on two
+    rows holds their spectra and over twice the FFT scratch at once, and is no
+    faster once a channel outgrows the cache."""
+    spectrum = np.empty(len(kernel_fft), dtype=complex)
+    for row in innov[lo:hi]:
+        np.fft.rfft(row, out=spectrum)
+        spectrum *= kernel_fft
+        np.fft.irfft(spectrum, n=len(row), out=row)
+
+
+def _apply_template(scalar: np.ndarray, mat: np.ndarray, out: np.ndarray, n: int,
+                    lo: int, hi: int) -> None:
+    """out[lo:hi] = the (n, p) paths of copies lo:hi: the convolved channels'
+    rows lo*n:hi*n times mat^T.  einsum, not @: the draws stay independent of
+    the BLAS build."""
+    np.einsum("km,jk->mj", scalar[:, lo * n:hi * n], mat,
+              out=out[lo:hi].reshape((hi - lo) * n, -1))
+
+
+def simulate_multidimensional(plan: SimulationPlan,
+                              pool: Optional[Executor] = None) -> SampleBatch:
     """Batch of (copies, n, p) paths drawn from one innovation stream.
 
     d real FFTs of length N convolve lags 0..min(N - 1, truncation) (see the
     module docstring); custom specs are contracted with their transformed
-    coefficient stack per frequency.  Raises MemoryBudgetError when the
-    estimated peak, plan.peak_bytes, exceeds model.MEMORY_BUDGET.
+    coefficient stack per frequency.  A built-in spec's transforms and its
+    template product each run in two halves, one of them queued on `pool`
+    when one is given (see _in_halves); the paths are the same with or
+    without it.  Raises MemoryBudgetError when the estimated peak,
+    plan.peak_bytes, exceeds model.MEMORY_BUDGET.
     """
     spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
+    copies = plan.copies_requested
     _check_budget(plan)
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    stream = rng.standard_normal(N * d).reshape(N, d)
-    # E[s, k] = stream[((s+1)*d - k) mod N*d] fixes which normal feeds which
-    # lag, so a seed always draws the same paths.  It is stored feature-major,
-    # (d, N), so every transform runs over contiguous memory.
-    innov = np.empty((d, N))
-    innov[0] = np.roll(stream[:, 0], -1)
-    innov[1:] = stream[:, :0:-1].T
-    del stream
-    innov_fft = np.fft.rfft(innov)
-    del innov
-
     horizon = min(N - 1, spec.truncation)
-    needed = plan.copies_requested * n
     if spec.separable:
-        innov_fft *= np.fft.rfft(decay_sequence(spec, horizon + 1), n=N)
-        scalar = np.fft.irfft(innov_fft, n=N)[:, :needed]
-        del innov_fft
-        # einsum, not @: the draws stay independent of the BLAS build.
-        out = np.einsum("km,jk->mj", scalar, template(spec))
+        # the decay's transform first: its lag-domain input dies before E is drawn
+        decay_fft = np.fft.rfft(decay_sequence(spec, horizon + 1), n=N)
+        innov = _innovations(rng, N, d)
+        _in_halves(pool, partial(_convolve, innov, decay_fft), d)
+        del decay_fft
+        out = np.empty((copies, n, spec.p))
+        _in_halves(pool, partial(_apply_template, innov, template(spec), out, n), copies)
     else:
+        innov_fft = np.fft.rfft(_innovations(rng, N, d))
         coeff_fft = np.fft.rfft(spec.coeffs[:horizon + 1], n=N, axis=0)
         series = np.fft.irfft(np.einsum("wjk,kw->jw", coeff_fft, innov_fft), n=N)
         del coeff_fft, innov_fft
-        out = np.ascontiguousarray(series[:, :needed].T)
-    return SampleBatch(out.reshape(plan.copies_requested, n, spec.p), plan.seed)
+        out = np.ascontiguousarray(series[:, :copies * n].T).reshape(copies, n, spec.p)
+    return SampleBatch(out, plan.seed)
 
 
 def save_batch(batch: SampleBatch, path) -> None:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -477,7 +478,7 @@ def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
     spec = custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 150), beta=1.5)  # N = 144
     calls = count_lag_stacks(monkeypatch)
     # one byte short of the dense reference's 48 p^4; the simulator's estimate,
-    # 24 B x N (144) x (d + p (d + 1)), is 414720 bytes and fits
+    # N (144) x (20 d + 4 + 24 p (d + 1)), is 409536 bytes and fits
     monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
     results, skipped = run_cell(spec, n=n, replicates=n, seed=4, block_rule=FixedBlocks(6))
     assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
@@ -613,8 +614,8 @@ def test_a_failing_sample_precision_skips_with_the_first_failing_copy(
     n, replicates = 64, 30
     marked, stacks = [], []
 
-    def recording_simulate(plan):
-        batch = simulate(plan)
+    def recording_simulate(plan, pool):
+        batch = simulate(plan, pool)
         marked[:] = [(k, check, batch.data[k].T @ batch.data[k] / n) for k, check in poisoned]
         return batch
 
@@ -698,10 +699,12 @@ def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
     plan = SimulationPlan(replace(spec, truncation=N - 1), n, seed=0, N=N,
                           copies_requested=replicates)
     lane_bytes = harness._reference_peak_bytes(plan.spec, replicates)
-    assert lane_bytes < plan.peak_bytes  # 2.75 MB beside 7.2 MB
+    # the calling thread's peak is the paths beside both copy blocks (21-row windows)
+    main = harness._main_peak_bytes(plan, 21, prec=True)
+    assert lane_bytes < plan.peak_bytes < main  # 2.9 MB, 6.0 MB and 6.7 MB
     schedule, me = Schedule(monkeypatch), threading.current_thread()
     outputs = {}
-    for budget in (plan.peak_bytes + lane_bytes, plan.peak_bytes):
+    for budget in (main + lane_bytes, main):
         monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
         schedule.reset("beside")
         outdir = tmp_path / str(budget)
@@ -711,8 +714,8 @@ def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
         assert len(lanes) == 2 and all(t is not me for t in lanes)
         # at the tighter budget the lane starts only after both blocks
         first_two = {what for what, _ in schedule.events[:2]}
-        assert (first_two == {(0, 50), (50, 100)}) == (budget == plan.peak_bytes)
-    assert outputs[plan.peak_bytes] == outputs[plan.peak_bytes + lane_bytes]
+        assert (first_two == {(0, 50), (50, 100)}) == (budget == main)
+    assert outputs[main] == outputs[main + lane_bytes]
 
 
 def test_main_lane_failure_joins_the_running_reference_lane(tmp_path, monkeypatch):
@@ -728,10 +731,10 @@ def test_main_lane_failure_joins_the_running_reference_lane(tmp_path, monkeypatc
         assert raised.wait(30)
         return factor(spec)
 
-    def gated_simulate(plan):
+    def gated_simulate(plan, pool):
         assert started.wait(30)
         try:
-            return simulate(plan)
+            return simulate(plan, pool)
         except MemoryBudgetError:
             raised.set()
             raise
@@ -854,3 +857,66 @@ def test_simulation_budget_fails_before_any_lag_sum(monkeypatch):
     with pytest.raises(MemoryBudgetError, match=f"estimated {plan.peak_bytes} bytes"):
         run_cell(spec, n=40, replicates=40, seed=4, block_rule=FixedBlocks(6))
     assert calls == []
+
+
+def test_copy_blocks_that_cannot_fit_skip_the_cell(tmp_path, monkeypatch):
+    # p 30, n 100, R 100, bootstrap targets only (no reference lane): the paths
+    # and both copy blocks' (50, 30, 30) stacks outweigh the simulation, so a
+    # budget that holds the simulation alone is short of the cell
+    spec, n, replicates, l = toeplitz_spec(2.0, 30), 100, 100, 21
+    targets = ("cov_boot", "prec_boot")
+    N = n * n
+    plan = SimulationPlan(replace(spec, truncation=N - 1), n, seed=0, N=N,
+                          copies_requested=replicates)
+    main = harness._main_peak_bytes(plan, l, prec=True)
+    assert plan.peak_bytes < main  # 6.0 MB beside 6.7 MB
+    message = (f"100 copies of a 100 x 30 path with their per-copy statistics need an "
+               f"estimated {main} bytes, over the budget of {plan.peak_bytes} bytes")
+    monkeypatch.setattr(model, "MEMORY_BUDGET", plan.peak_bytes)
+    simulate, simulated = harness.simulate_multidimensional, []
+
+    def recording_simulate(plan, pool):
+        simulated.append(plan)
+        return simulate(plan, pool)
+
+    monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
+    kwargs = dict(replicates=replicates, seed=2, block_rule=FixedBlocks(l), targets=targets)
+    with pytest.raises(MemoryBudgetError) as err:
+        run_cell(spec, n, **kwargs)
+    assert str(err.value) == message and simulated == []
+    config = small_config(tmp_path, grid_n=[n], grid_p=[30], replicates=replicates,
+                          block_rule=FixedBlocks(l), targets=targets)
+    assert run_grid(config) == []
+    assert (tmp_path / "out" / "skipped.csv").read_text() == "".join(
+        [harness.SKIPPED_HEADER] + [f"100,30,2,{kind},{message}\n" for kind in targets])
+    # at its estimate the cell runs, within it
+    monkeypatch.setattr(model, "MEMORY_BUDGET", main)
+    tracemalloc.start()
+    try:
+        results, skipped = run_cell(spec, n, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.kind for r in results] == list(targets) and skipped == []
+    assert len(simulated) == 1 and peak <= main
+
+
+@pytest.mark.parametrize("p, n, replicates", [(2, 200, 400), (10, 250, 200), (50, 200, 100),
+                                              (200, 300, 40)])
+@pytest.mark.parametrize("prec", [False, True], ids=["cov", "prec"])
+def test_copy_block_estimate_within_ten_percent_of_its_traced_peak(p, n, replicates, prec):
+    spec = toeplitz_spec(2.0, p)
+    truth = process_truth(spec, lags=0)
+    X = np.random.default_rng(0).standard_normal((replicates, n, p))
+    l = round(n ** (2 / 3))
+    ends = np.random.default_rng(1).integers(l, n + 1, size=replicates)
+    boots = ["cov_boot", "prec_boot"] if prec else ["cov_boot"]
+    half = replicates // 2
+    harness._copy_block(X, ends, truth, l, prec, boots, 0, 2)  # warm: lazily built objects
+    tracemalloc.start()
+    try:
+        harness._copy_block(X, ends, truth, l, prec, boots, 0, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(harness._blocks_peak_bytes(p, l, half, prec) / peak - 1) <= 0.1

@@ -129,6 +129,20 @@ def test_ingest_rejects_repeated_labels(tmp_path, header, columns, label):
     assert str(err.value) == f"{path}: columns {columns} share the label {label!r}"
 
 
+@pytest.mark.parametrize("labels, message", [
+    (("a", "a", "b"), "columns 1 and 2 share the label 'a'"),
+    (("a", "b", "a"), "columns 1 and 3 share the label 'a'"),
+    (("a", "b"), "2 labels for 3 columns"), (("a", "b", "c", "d"), "4 labels for 3 columns")],
+    ids=["repeated", "repeated-apart", "too-few", "too-many"])
+def test_subject_series_needs_one_distinct_label_per_column(labels, message):
+    # a repeated label merged two columns' edges in subject_graph, and a missing
+    # one raised a bare IndexError there
+    data = np.random.default_rng(2).standard_normal((40, 3))
+    with pytest.raises(ValueError) as err:
+        SubjectSeries("s07", data, labels)
+    assert str(err.value) == f"subject 's07': {message}"
+
+
 def test_ingest_rejects_overflowing_squares(huge_csv):
     with pytest.raises(ValueError, match=r"huge\.csv: column 'b'.*not finite"):
         ingest(huge_csv)

@@ -1,6 +1,8 @@
 import math
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 from conftest import lags
 
 import lrdcov.model as model
+import lrdcov.simulate as simulate
 from lrdcov import (InvalidPlanError, MemoryBudgetError, SampleBatch,
                     SimulationPlan, autocovariance, banded_spec, coefficient, custom_spec,
                     load_batch, save_batch, simulate_multidimensional,
                     toeplitz_spec)
+from lrdcov.model import decay_sequence, template
 
 ZETA4 = math.pi ** 4 / 90.0
 GAMMA1 = math.pi ** 2 / 3 - 3
@@ -87,6 +91,123 @@ def test_custom_simulation_draws_only_lags_up_to_the_truncation():
     assert np.array_equal(got, want)
 
 
+def _one_shot_simulation(plan):
+    """The simulator as it was before it drew its innovations in chunks and split
+    its work in halves: one standard_normal call for the whole (N, d) stream,
+    its strided transpose, one batched transform chain and one template
+    product.  The reference every schedule of simulate_multidimensional must
+    match byte for byte."""
+    spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    stream = rng.standard_normal(N * d).reshape(N, d)
+    innov = np.empty((d, N))
+    innov[0] = np.roll(stream[:, 0], -1)
+    innov[1:] = stream[:, :0:-1].T
+    innov_fft = np.fft.rfft(innov)
+    horizon = min(N - 1, spec.truncation)
+    needed = plan.copies_requested * n
+    if spec.separable:
+        innov_fft *= np.fft.rfft(decay_sequence(spec, horizon + 1), n=N)
+        scalar = np.fft.irfft(innov_fft, n=N)[:, :needed]
+        out = np.einsum("km,jk->mj", scalar, template(spec))
+    else:
+        coeff_fft = np.fft.rfft(spec.coeffs[:horizon + 1], n=N, axis=0)
+        series = np.fft.irfft(np.einsum("wjk,kw->jw", coeff_fft, innov_fft), n=N)
+        out = np.ascontiguousarray(series[:, :needed].T)
+    return out.reshape(plan.copies_requested, n, spec.p)
+
+
+CHUNK = simulate._CHUNK_ROWS
+# (spec, n, N, copies): N below, at a multiple of and past a multiple of the
+# chunk; one channel; odd copy counts; truncation below and above N - 1
+ONE_SHOT_CASES = {
+    "toeplitz-below-a-chunk": (toeplitz_spec(2.0, 3, truncation=10**6), 16, 515, 20),
+    "toeplitz-two-chunks-cut": (toeplitz_spec(0.9, 5, truncation=300), 128, 2 * CHUNK, 127),
+    "banded-ragged-chunk": (banded_spec(1.2, 6, bandwidth=2, truncation=10**6), 100,
+                            CHUNK + 1234, 83),
+    "one-channel": (toeplitz_spec(0.6, 1, truncation=10**6), 50, 2 * CHUNK + 7, 31),
+    "one-copy": (banded_spec(2.0, 4, bandwidth=1, truncation=40), 64, 4096, 1),
+    "custom-cut": (_mixing_spec(3, 4, truncation=600), 40, CHUNK + 100, 25),
+    "custom-past-n": (_mixing_spec(2, 1, truncation=3000), 30, 1000, 33),
+}
+
+
+@pytest.mark.parametrize("pool_state", ["none", "free", "busy"])
+@pytest.mark.parametrize("case", list(ONE_SHOT_CASES))
+def test_matches_the_one_shot_simulator_byte_for_byte(monkeypatch, case, pool_state):
+    spec, n, N, copies = ONE_SHOT_CASES[case]
+    plan = SimulationPlan(spec, n, seed=17, N=N, copies_requested=copies)
+    want = _one_shot_simulation(plan)
+    threads = []
+
+    def recording(fn):
+        def run(*args):
+            threads.append(threading.current_thread())
+            return fn(*args)
+        return run
+
+    for name in ("_convolve", "_apply_template"):
+        monkeypatch.setattr(simulate, name, recording(getattr(simulate, name)))
+    release = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        # a busy pool never starts a half, so the calling thread takes both back
+        blocker = pool.submit(release.wait, 30) if pool_state == "busy" else None
+        try:
+            got = simulate_multidimensional(plan, None if pool_state == "none" else pool)
+        finally:
+            release.set()
+        assert blocker is None or blocker.result()
+    assert got.data.shape == want.shape and np.array_equal(got.data, want)
+    if spec.separable:  # each step runs once or in two halves
+        assert len(threads) == min(spec.d, 2) + min(copies, 2)
+        if pool_state != "free":
+            assert set(threads) == {threading.current_thread()}
+    else:
+        assert threads == []
+
+
+def test_a_taken_back_half_leaves_no_buffer_behind():
+    # a cancelled half waits in the pool's queue until the pool is free; it must
+    # not keep the (d, N) innovations alive after the simulation returns
+    plan = SimulationPlan(toeplitz_spec(2.0, 10), n=50, seed=4, N=5000)
+    release = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        blocker = pool.submit(release.wait, 30)
+        tracemalloc.start()
+        try:
+            batch = simulate_multidimensional(plan, pool)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            release.set()
+        assert blocker.result()
+    assert held < batch.data.nbytes + 8 * plan.N  # the innovations would add 8 N d
+
+
+@pytest.mark.parametrize("d, n, N, copies", [
+    (2, 64, CHUNK, None), (2, 100, 20_000, 50), (4, 100, 20_011, 200),
+    (10, 64, CHUNK, None), (10, 250, 62_500, 200), (30, 50, 5000, 100)],
+    ids=["d2-one-chunk", "d2", "d4-all-lags", "d10-one-chunk", "d10", "d30"])
+@pytest.mark.parametrize("pool_state", ["none", "free"])
+def test_peak_bytes_cover_the_traced_peak(d, n, N, copies, pool_state):
+    # At d = 1 the three N-sized arrays of the one channel (its innovations,
+    # their spectrum and the decay's) fill the 24 bytes per lag that
+    # test_one_budget_moves_both_size_guards pins, and tracemalloc reads a few
+    # KiB of call objects above it, so d = 1 is left out.
+    plan = SimulationPlan(toeplitz_spec(2.0, d, truncation=N - 1), n, seed=1, N=N,
+                          copies_requested=copies)
+    with ThreadPoolExecutor(1) as executor:
+        pool = None if pool_state == "none" else executor
+        simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, d), 4, seed=0), pool)
+        tracemalloc.start()
+        try:
+            simulate_multidimensional(plan, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= plan.peak_bytes
+
+
 @pytest.mark.parametrize("spec", [toeplitz_spec(2.0, 4, truncation=10**6),
                                   _mixing_spec(3, 4, truncation=20_050)],
                          ids=["toeplitz", "custom"])
@@ -149,7 +270,7 @@ def test_plan_validation():
 
 def test_memory_budget_error(monkeypatch):
     plan = SimulationPlan(toeplitz_spec(2.0, 2), n=32, seed=0, N=1024)
-    monkeypatch.setattr(model, "MEMORY_BUDGET", 100 * 24)  # the plan needs 1024 * 2 * 24
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 100 * 24)  # the plan needs 1024 * (2 * 20 + 4)
     with pytest.raises(MemoryBudgetError):
         simulate_multidimensional(plan)
 
