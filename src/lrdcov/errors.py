@@ -42,7 +42,7 @@ class InvalidPlanError(LrdcovError):
 
 
 class MemoryBudgetError(LrdcovError):
-    """Simulation or per-copy statistic buffers would exceed model.MEMORY_BUDGET."""
+    """Simulation, copy-block or reference-lane buffers would exceed model.MEMORY_BUDGET."""
 
 
 class ZeroVarianceError(LrdcovError):

@@ -64,6 +64,11 @@ def build_reference(cov: np.ndarray) -> GaussianReference:
     return GaussianReference((eigvecs[:, keep] * np.sqrt(eigvals[keep])) @ eigvecs[:, keep].T)
 
 
+def _draws_per_chunk(dim: int, reps: int) -> int:
+    """Draws of a dim-entry Z that sample_max_abs takes at once, out of reps."""
+    return min(reps, max(1, _CHUNK_ELEMENTS // max(dim, 1)))
+
+
 def sample_max_abs(ref: GaussianReference | MatrixReference, reps: int,
                    seed: int) -> np.ndarray:
     """reps independent draws of |Z|_inf: Z = factor @ g with g standard normal
@@ -75,7 +80,7 @@ def sample_max_abs(ref: GaussianReference | MatrixReference, reps: int,
     p = ref.factor.shape[1]
     dim = p * p if matrix else p
     out = np.empty(reps)
-    chunk = max(1, _CHUNK_ELEMENTS // max(dim, 1))
+    chunk = _draws_per_chunk(dim, reps)
     done = 0
     while done < reps:
         take = min(chunk, reps - done)

@@ -26,20 +26,21 @@ computes the long-run factor and the matrix draws of a built-in spec, or a
 custom spec's Gamma_0..Gamma_H stack, dense reference and factor, and their
 draws.  It runs on the cell's one helper thread: queued before the simulation
 when both lanes' estimated peaks fit model.MEMORY_BUDGET together (numpy
-releases the GIL in the draws, FFTs, einsum and batched linear algebra), so
-the cell's peak memory is their sum, and after the per-copy statistics
-otherwise.  The calling thread's peak is the simulation's, or the paths beside
-both copy blocks' (copies, p, p) stacks if that is larger; a cell whose
-calling thread alone would exceed the budget raises MemoryBudgetError before
-it simulates.  The helper also takes half of the work three times, each time
-in a half queued on it while the calling thread runs the other
-(simulate._in_halves): the simulation's transforms, its template product, and
-the per-copy statistics, in two blocks of copies whose stacks die with the
-block.  A half the helper has not started by then, because the reference lane
-still holds it, is taken back and run inline.  Each lane draws from its own
-seed, every half computes what the whole would for its channels or copies and
-scoring stays on the calling thread, so the outputs do not depend on which
-thread ran what.  One DEBUG record per cell, under the "lrdcov.harness"
+releases the GIL in the draws, FFTs, einsum and batched linear algebra), so the
+cell's peak memory is their sum, and otherwise after the per-copy statistics,
+once the paths are freed.  The calling thread's peak is the simulation's, or
+the paths beside both copy blocks' (copies, p, p) stacks if that is larger.
+Each estimate is fitted to peak RSS and meets the budget in one check,
+model._check_budget: the calling thread's raises MemoryBudgetError before the
+cell simulates, the lane's skips its targets.  The helper also takes half of
+the work three times, each time in a half queued on it while the calling thread
+runs the other (simulate._in_halves): the simulation's transforms, its template
+product, and the per-copy statistics, in two blocks of copies whose stacks die
+with the block.  A half the helper has not started by then, because the
+reference lane still holds it, is taken back and run inline.  Each lane draws
+from its own seed, every half computes what the whole would for its channels or
+copies and scoring stays on the calling thread, so the outputs do not depend on
+which thread ran what.  One DEBUG record per cell, under the "lrdcov.harness"
 logger, gives the wall time of each phase and which thread ran each block.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
@@ -59,7 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Integral, Real
 from os import PathLike
 from pathlib import Path
@@ -69,15 +70,15 @@ import numpy as np
 
 from . import model
 from .bootstrap import DefaultBlocks, FixedBlocks, TheoreticalBlocks, resolve_block_length
-from .errors import LrdcovError, MemoryBudgetError
+from .errors import LrdcovError
 from .estimate import max_deviation, sample_covariance, sample_precision
-from .gaussref import _CHUNK_ELEMENTS, MatrixReference, build_reference, sample_max_abs
+from .gaussref import MatrixReference, _draws_per_chunk, build_reference, sample_max_abs
 from .metrics import ecdf_points, kolmogorov_distance, qq_pairs, wasserstein1
-from .model import (_REFERENCE_BYTES_PER_P4, CoefficientSpec, ProcessTruth,
-                    _check_dense_cap, _long_run_factor, autocovariance_sequence,
-                    banded_spec, gaussian_long_run_covariance, omega_transformed_long_run,
+from .model import (_REFERENCE_BYTES_PER_P4, CoefficientSpec, ProcessTruth, _check_budget,
+                    _long_run_factor, autocovariance_sequence, banded_spec,
+                    gaussian_long_run_covariance, omega_transformed_long_run,
                     process_truth, template, toeplitz_spec)
-from .simulate import SimulationPlan, _check_budget, _in_halves, simulate_multidimensional
+from .simulate import SimulationPlan, _in_halves, simulate_multidimensional
 
 COV_GA = "cov_ga"
 COV_BOOT = "cov_boot"
@@ -85,13 +86,15 @@ PREC_GA = "prec_ga"
 PREC_BOOT = "prec_boot"
 ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
 
-# Reference-lane peak bytes, within 10% of tracemalloc peaks at p 2-200 and N up to
-# 4e6: 12 per point of the long-run factor's FFT, 32 per element of one chunk of
-# draws, and up to 13 per point and entry of a custom spec's (nfft, p, p + d) lag
-# FFT, rounded up to 16.
-_FACTOR_BYTES_PER_POINT = 12
-_DRAW_BYTES_PER_ELEMENT = 32
-_LAG_BYTES_PER_ELEMENT = 16
+# Reference-lane peak bytes, fitted to peak-RSS growth, which unlike tracemalloc
+# sees pocketfft's scratch: 32 per point of the long-run factor's FFT (RSS reads
+# 22-31.4 at 2^18-2^25 points, tracemalloc 12), 34 per element of one chunk of
+# draws (RSS 31.7-32.7 at p 30-300), and 13 per point and entry of a custom
+# spec's (nfft, p, p + d) lag FFT plus as much per point for its scratch (RSS
+# 11-12.7 per point and entry at p 2-20, and 16 at p = d = 1).
+_FACTOR_BYTES_PER_POINT = 32
+_DRAW_BYTES_PER_ELEMENT = 34
+_LAG_BYTES_PER_ELEMENT = 13
 # Copy-block peak bytes per copy and (p, p) entry, within 10% of tracemalloc
 # peaks at p 2-200: Sigma_hat, `dev` and a temporary, and with the precision
 # targets Omega_hat, its window conjugate and their temporaries.
@@ -227,17 +230,18 @@ def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
     """The reference lane of a cell: per Gaussian-approximation kind, in ALL_TARGETS
     order, `replicates` draws of |Z|_inf, or the LrdcovError its reference raised.
 
-    It reads the spec and its lag-0 truth alone.  An LrdcovError skips its kind;
-    any other exception ends the lane and the cell.
+    It reads the spec and its lag-0 truth alone, and checks its whole estimated
+    peak, _reference_peak_bytes, before it allocates.  An LrdcovError, that
+    check's included, skips its kind; any other exception ends the lane and the cell.
     """
-    spec, draws = truth.spec, {}
-    if spec.separable and kinds:
-        # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
-        scale, mat = math.sqrt(_long_run_factor(spec)), template(spec)
+    spec, draws, scale = truth.spec, {}, None
     for kind in kinds:
         prec = kind == PREC_GA
         try:
+            _check_budget(_reference_peak_bytes(spec, replicates), f"the {kind} reference needs")
             if spec.separable:
+                # f * pair product of L L^T is the law of sqrt(f) L S L^T, L = M or Omega M
+                scale, mat = scale or math.sqrt(_long_run_factor(spec)), template(spec)
                 ref = MatrixReference(np.einsum("ij,jk->ik", truth.omega, mat)
                                       if prec else mat, scale)
             else:
@@ -245,7 +249,6 @@ def _reference_draws(truth: ProcessTruth, kinds: Sequence[str], replicates: int,
                     # both references read one Gamma_0..Gamma_H stack; sigma and
                     # omega stay those of the lag-0 call (an FFT-built Gamma_0
                     # differs in the last bits)
-                    _check_dense_cap(spec.p)
                     truth = replace(truth, gamma=autocovariance_sequence(
                         spec, spec.truncation))
                 ref = build_reference(omega_transformed_long_run(truth, None) if prec
@@ -292,10 +295,12 @@ def _copy_block(X: np.ndarray, ends: np.ndarray, truth: ProcessTruth, l: int, pr
 
 
 def _timed(fn, *args):
-    """fn(*args), the name of the thread that ran it and its wall seconds."""
+    """fn(*args) and "[lo:hi ]<wall seconds> s on <thread name>", lo:hi for a call
+    fn(lo, hi) on the copies lo:hi."""
     start = time.perf_counter()
     out = fn(*args)
-    return out, threading.current_thread().name, time.perf_counter() - start
+    took = f"{time.perf_counter() - start:.4f} s on {threading.current_thread().name}"
+    return out, "%d:%d %s" % (*args, took) if args else took
 
 
 def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
@@ -304,12 +309,11 @@ def _reference_peak_bytes(spec: CoefficientSpec, replicates: int) -> int:
     points and one chunk of draws.  A custom spec: its lag FFT over as many
     points, its dense reference and one chunk of draws."""
     p, points = spec.p, 1 << (2 * spec.truncation).bit_length()
-    chunk = min(replicates, max(1, _CHUNK_ELEMENTS // (p * p)))  # as sample_max_abs draws
-    draws = _DRAW_BYTES_PER_ELEMENT * chunk * p * p
+    draws = _DRAW_BYTES_PER_ELEMENT * _draws_per_chunk(p * p, replicates) * p * p
     if spec.separable:
         return max(_FACTOR_BYTES_PER_POINT * points, draws)
     return (_REFERENCE_BYTES_PER_P4 * p**4
-            + _LAG_BYTES_PER_ELEMENT * points * p * (p + spec.d) + draws)
+            + _LAG_BYTES_PER_ELEMENT * points * (p * (p + spec.d) + 1) + draws)
 
 
 def _blocks_peak_bytes(p: int, l: int, copies: int, prec: bool) -> int:
@@ -357,7 +361,7 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
     plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
                           copies_requested=replicates)
-    _check_budget(plan)  # before the truth, which sums a custom spec's H + 1 lags
+    _check_budget(plan.peak_bytes, f"N*d = {N * spec.d} needs")  # before the truth's H + 1 lags
     truth = process_truth(spec, lags=0)
     prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
     reason = (f"precision targets need p < n (p={p}, n={n})" if p >= n
@@ -368,10 +372,8 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     boots = [k for k in kinds if k == COV_BOOT or k == PREC_BOOT and reason is None]
     prec = bool(prec_kinds) and reason is None
     main = _main_peak_bytes(plan, l, prec)
-    if main > model.MEMORY_BUDGET:
-        raise MemoryBudgetError(f"{replicates} copies of a {n} x {p} path with their "
-                                f"per-copy statistics need an estimated {main} bytes, "
-                                f"over the budget of {model.MEMORY_BUDGET} bytes")
+    _check_budget(main, f"{replicates} copies of a {n} x {p} path with their per-copy "
+                  f"statistics need")
     lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
                    replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
     fits = main + (_reference_peak_bytes(spec, replicates) if ga_kinds
@@ -384,9 +386,10 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
         block = partial(_copy_block, X, ends, truth, l, prec, boots)
         blocks = _in_halves(pool, partial(_timed, block), replicates)
-        draws, lane_thread, lane_s = (helper or pool.submit(_timed, lane)).result()
+        del X, block  # a lane queued only now runs without the paths
+        draws, lane_took = (helper or pool.submit(_timed, lane)).result()
 
-    outs = [out for out, _, _ in blocks]
+    outs = [out for out, _ in blocks]
     failed = [out["prec_error"] for out in outs
               if isinstance(out.get("prec_error"), LrdcovError)]
     if failed:
@@ -430,14 +433,9 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                 _write_qq(outdir / f"qq_{tag}_{r.kind}.csv", samples[r.kind], errors, q)
         _write_ecdf(outdir / f"ecdf_{tag}.csv", samples)
     write_s = time.perf_counter() - write_s
-    if _log.isEnabledFor(logging.DEBUG):
-        half = replicates // 2
-        bounds = [(0, half), (half, replicates)] if half else [(0, replicates)]
-        _log.debug("cell n=%d p=%d beta=%.6g: simulate %.4f s; copies %s; reference "
-                   "lane %.4f s on %s; scoring %.4f s; sidecars %.4f s", n, p, beta, sim_s,
-                   ", ".join(f"{lo}:{hi} {secs:.4f} s on {name}"
-                             for (lo, hi), (_, name, secs) in zip(bounds, blocks)),
-                   lane_s, lane_thread, scoring_s, write_s)
+    _log.debug("cell n=%d p=%d beta=%.6g: simulate %.4f s; copies %s; reference lane %s; "
+               "scoring %.4f s; sidecars %.4f s", n, p, beta, sim_s,
+               ", ".join(took for _, took in blocks), lane_took, scoring_s, write_s)
     return results, skipped
 
 
@@ -478,13 +476,12 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     with pool or nullcontext(), open(outdir / "results.csv", "w", newline="\n") as fh:
         fh.write(RESULTS_HEADER)
         fh.flush()
-        if pool:  # each cell in its own copy of the caller's context: numpy's error state
-            futures = [pool.submit(contextvars.copy_context().run, work, item)
-                       for item in enumerate(cells)]
-            outcomes = (future.result() for future in futures)
-        else:
-            outcomes = map(work, enumerate(cells))
-        for results, skipped in outcomes:
+        # each cell in its own copy of the caller's context (numpy's error state);
+        # when the loop ends early, Executor.map cancels the cells not yet started
+        for results, skipped in (pool.map(contextvars.Context.run,
+                                          [contextvars.copy_context() for _ in cells],
+                                          repeat(work), enumerate(cells))
+                                 if pool else map(work, enumerate(cells))):
             for r in results:
                 fh.write(f"{r.n},{r.p},{r.beta:.6g},{r.kind},{r.ks:.6g},{r.w1:.6g},"
                          f"0,{r.seed}\n")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionTooLargeError,
+    MemoryBudgetError,
     NotInvertibleError,
     OutOfRegimeError,
     TruncationExceededError,
@@ -49,6 +50,13 @@ MEMORY_BUDGET = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 # The assembled p^2 x p^2 matrix plus build_reference's eigh peak near 48 B per
 # p^4 element (RSS: 6.0-6.1 x 8 B at p 50 and 60).
 _REFERENCE_BYTES_PER_P4 = 48
+
+
+def _check_budget(need: int, what: str, error=MemoryBudgetError) -> None:
+    """Raise `error` when the estimated `need` bytes exceed MEMORY_BUDGET; `what`
+    names the need and its verb ("N*d = 40 needs")."""
+    if need > MEMORY_BUDGET:
+        raise error(f"{what} an estimated {need} bytes, over the budget of {MEMORY_BUDGET} bytes")
 
 
 @dataclass(frozen=True)
@@ -228,11 +236,8 @@ def _long_run_factor(spec: CoefficientSpec) -> float:
 
 
 def _check_dense_cap(p: int) -> None:
-    need = _REFERENCE_BYTES_PER_P4 * p**4
-    if need > MEMORY_BUDGET:
-        raise DimensionTooLargeError(
-            f"p = {p}: the p^2 x p^2 reference needs an estimated {need} bytes, "
-            f"over the budget of {MEMORY_BUDGET} bytes")
+    _check_budget(_REFERENCE_BYTES_PER_P4 * p**4, f"p = {p}: the p^2 x p^2 reference needs",
+                  DimensionTooLargeError)
 
 
 def _long_run_covariance(truth: ProcessTruth, n: Optional[int],

@@ -32,20 +32,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model
-from .errors import InvalidPlanError, MemoryBudgetError
-from .model import CoefficientSpec, decay_sequence, template
+from .errors import InvalidPlanError
+from .model import CoefficientSpec, _check_budget, decay_sequence, template
 
-# Estimated peak bytes of a built-in spec: 20 per N*d element and 4 per lag.
+# Estimated peak bytes of a built-in spec: 20 per N*d element and 36 per lag,
+# fitted to peak-RSS growth, which unlike tracemalloc sees pocketfft's scratch.
 # The (d, N) innovations live throughout, beside the output or beside the
-# decay's transform and each running transform call's spectrum and FFT
-# scratch, about 24 B per lag.  Peak RSS at d = 10, N >= 10^6: 14-16 B per
-# element with half of the transforms on a helper thread; below d = 5 the
-# per-lag buffers outgrow the estimate (22 B per element at d = 4, 40 B at
-# d = 1).  A custom spec adds 24 per lag and entry of its (p, N) convolutions
-# and its (N, p, d) coefficients' transform.
+# decay's transform (8 B per lag) and each running transform call's spectrum
+# and FFT scratch (24 B per lag; two calls run at once with a helper and d >= 2).
+# At N 10^6 and 4*10^6, RSS per element reads 40 B at d = 1, 36 at d = 2 with a
+# helper (24 without), 22 at d = 4 and 14-18 at d = 10, against estimates of 56,
+# 38, 29 and 23.6.  A custom spec adds 24 per lag and entry of its (p, N)
+# convolutions and its (N, p, d) coefficients' transform.
 _BYTES_PER_ELEMENT = 20
-_BYTES_PER_LAG = 4
+_BYTES_PER_LAG = 36
 _CUSTOM_BYTES_PER_ELEMENT = 24
 # Rows of E per standard_normal call: a chunk and its transpose stay in cache.
 _CHUNK_ROWS = 1 << 13
@@ -106,13 +106,6 @@ class SampleBatch:
     @property
     def copies(self) -> int:
         return self.data.shape[0]
-
-
-def _check_budget(plan: SimulationPlan) -> None:
-    if plan.peak_bytes > model.MEMORY_BUDGET:
-        raise MemoryBudgetError(f"N*d = {plan.N * plan.spec.d} needs an estimated "
-                                f"{plan.peak_bytes} bytes, over the budget of "
-                                f"{model.MEMORY_BUDGET} bytes")
 
 
 def _in_halves(pool: Optional[Executor], fn: Callable[[int, int], object],
@@ -197,7 +190,7 @@ def simulate_multidimensional(plan: SimulationPlan,
     """
     spec, n, N, d = plan.spec, plan.n, plan.N, plan.spec.d
     copies = plan.copies_requested
-    _check_budget(plan)
+    _check_budget(plan.peak_bytes, f"N*d = {N * d} needs")
 
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     horizon = min(N - 1, spec.truncation)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +12,30 @@ from lrdcov import custom_spec
 # CI selects this with --hypothesis-profile=ci so every run draws the same
 # examples; each test keeps its own max_examples.
 settings.register_profile("ci", derandomize=True)
+
+
+def peak_rss_growth(setup: str, call: str, estimate: str) -> tuple[int, int]:
+    """In a fresh Linux interpreter that has run `setup`: the bytes by which the
+    statement `call` raises its peak RSS above its RSS just before the call, and
+    the value of the expression `estimate` there.  Let `setup` warm the call up
+    on a small input, so that lazily built objects count in neither.  The peak
+    is VmHWM, not ru_maxrss: a child's ru_maxrss starts at the forking process's
+    peak, which a test session's exceeds."""
+    code = ("def rss():\n"
+            "    status = open('/proc/self/status').read().split()\n"
+            "    return [1024 * int(status[status.index(key) + 1])\n"
+            "            for key in ('VmHWM:', 'VmRSS:')]\n"
+            f"{setup}\n"
+            "before, now = rss()\n"
+            f"{call}\n"
+            f"print(before, rss()[0], now, {estimate})")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    before, after, now, value = map(int, done.stdout.split())
+    assert before < after, "the call's peak is hidden by an earlier one"
+    return after - now, value
 
 
 def lags(fn, H):

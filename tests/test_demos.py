@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree, with
+warnings as errors, as pyproject.toml's filterwarnings makes them in the tests."""
 
 import os
 import subprocess
@@ -14,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -7,13 +7,15 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lags
+from conftest import lags, peak_rss_growth
 
 import lrdcov.harness as harness
 import lrdcov.model as model
@@ -477,14 +479,16 @@ def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
     mix = np.eye(p) + 0.1 * np.random.default_rng(0).standard_normal((p, p))
     spec = custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 150), beta=1.5)  # N = 144
     calls = count_lag_stacks(monkeypatch)
-    # one byte short of the dense reference's 48 p^4; the simulator's estimate,
-    # N (144) x (20 d + 4 + 24 p (d + 1)), is 409536 bytes and fits
+    # one byte short of the dense reference's 48 p^4, which the lane's estimate
+    # includes; the simulator's estimate, N (144) x (20 d + 36 + 24 p (d + 1)), is
+    # 414144 bytes and fits
     monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
+    lane = harness._reference_peak_bytes(replace(spec, truncation=n * n - 1), n)
     results, skipped = run_cell(spec, n=n, replicates=n, seed=4, block_rule=FixedBlocks(6))
     assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
-    assert [s.kind for s in skipped] == ["cov_ga", "prec_ga"]
-    assert all(f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes"
-               in s.reason for s in skipped)
+    assert [(s.kind, s.reason) for s in skipped] == [
+        (kind, f"the {kind} reference needs an estimated {lane} bytes, over the budget of "
+               f"{48 * p**4 - 1} bytes") for kind in ("cov_ga", "prec_ga")]
     assert calls == [0]  # the lag-0 truth only
 
 
@@ -766,13 +770,13 @@ def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
     monkeypatch.setattr(harness, "_reference_peak_bytes", lambda spec, replicates: 0)
     cap_threads = []
-    check = harness._check_dense_cap
+    check = model._check_dense_cap
 
     def recording_check(p):
         cap_threads.append(threading.current_thread())
         return check(p)
 
-    monkeypatch.setattr(harness, "_check_dense_cap", recording_check)
+    monkeypatch.setattr(model, "_check_dense_cap", recording_check)
     before = threading.active_count()
     results = run_grid(config)
     assert threading.active_count() == before
@@ -782,6 +786,72 @@ def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
     skipped = (tmp_path / "out" / "skipped.csv").read_text()
     assert [line.split(",")[3] for line in skipped.splitlines()[1:]] == ["cov_ga", "prec_ga"]
     assert f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes" in skipped
+
+
+def test_a_lane_queued_after_the_blocks_runs_without_the_paths(monkeypatch):
+    simulate, lane = harness.simulate_multidimensional, harness._reference_draws
+    paths, alive = [], []
+
+    def recording_simulate(plan, pool):
+        batch = simulate(plan, pool)
+        paths.append(weakref.ref(batch.data))
+        return batch
+
+    def recording_lane(*args):
+        alive.append(paths[0]() is not None)
+        return lane(*args)
+
+    monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
+    monkeypatch.setattr(harness, "_reference_draws", recording_lane)
+    # the lanes do not fit together, so the lane is queued after both blocks
+    monkeypatch.setattr(harness, "_reference_peak_bytes",
+                        lambda spec, replicates: model.MEMORY_BUDGET)
+    results, _ = run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3,
+                          block_rule=FixedBlocks(8))
+    assert alive == [False] and "cov_ga" in [r.kind for r in results]
+
+
+@pytest.mark.parametrize("spec, n, replicates", [
+    (toeplitz_spec(2.0, 1), 64, 65), (coupled_custom_spec(), 40, 30)], ids=["toeplitz", "custom"])
+def test_a_lane_over_the_budget_alone_skips_its_targets(monkeypatch, spec, n, replicates):
+    # the budget holds the calling thread's estimate, so the cell runs, but not the
+    # lane's: the lane, queued after both blocks, refuses before it allocates
+    N = n * max(n, replicates)
+    plan = SimulationPlan(replace(spec, truncation=min(spec.truncation, N - 1)), n, seed=0,
+                          N=N, copies_requested=replicates)
+    main = harness._main_peak_bytes(plan, 8, prec=True)
+    lane = harness._reference_peak_bytes(plan.spec, replicates)
+    assert main < lane
+    monkeypatch.setattr(model, "MEMORY_BUDGET", main)
+    before = threading.active_count()
+    results, skipped = run_cell(spec, n, replicates=replicates, seed=5, block_rule=FixedBlocks(8))
+    assert threading.active_count() == before
+    assert [r.kind for r in results] == ["cov_boot", "prec_boot"]
+    assert [(s.kind, s.reason) for s in skipped] == [
+        (kind, f"the {kind} reference needs an estimated {lane} bytes, over the budget of "
+               f"{main} bytes") for kind in ("cov_ga", "prec_ga")]
+
+
+@pytest.mark.parametrize("spec, n, replicates", [
+    ("toeplitz_spec(2.0, 1)", 1000, 200), ("toeplitz_spec(2.0, 10)", 1000, 200),
+    ("toeplitz_spec(2.0, 100)", 100, 200),
+    ("custom_spec(np.arange(1.0, 90_001)[:, None, None] ** -1.5, beta=1.5)", 300, 100)],
+    ids=["p1", "p10", "p100", "custom-p1"])
+def test_reference_estimate_covers_the_lanes_peak_rss_growth(spec, n, replicates):
+    # at the cell's horizon, N - 1 (the custom array ends there); tracemalloc
+    # misses pocketfft's scratch, half of a built-in spec's long-run factor's peak
+    grown, estimate = peak_rss_growth(
+        "from dataclasses import replace\nimport numpy as np\n"
+        "from lrdcov import custom_spec, harness, process_truth, toeplitz_spec\n"
+        f"spec = replace({spec}, truncation={n * max(n, replicates) - 1})\n"
+        "truth = process_truth(spec, lags=0)\n"
+        f"kinds = ['cov_ga', 'prec_ga'] if spec.p < {n} else ['cov_ga']\n"
+        "seeds = {'cov_ga': 1, 'prec_ga': 2}\n"
+        "harness._reference_draws(process_truth(replace(spec, truncation=10), lags=0), "
+        "kinds, 2, seeds)",
+        f"harness._reference_draws(truth, kinds, {replicates}, seeds)",
+        f"harness._reference_peak_bytes(spec, {replicates})")
+    assert grown <= estimate
 
 
 def test_a_non_package_reference_error_ends_the_cell(monkeypatch):
@@ -844,6 +914,27 @@ def test_grid_cells_keep_the_callers_error_state(tmp_path, monkeypatch, workers)
     with np.errstate(over="raise"):
         assert len(run_grid(config, workers=workers)) == 2
     assert states == ["raise", "raise"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_cell_stops_the_grid_from_starting_more(tmp_path, monkeypatch, workers):
+    # the second cell raises; the cells the workers have not started by then never run
+    started = []
+
+    def fake_cell(spec, n, **kwargs):
+        started.append(spec.p)
+        if spec.p == 2:
+            raise ArithmeticError("forced failure")
+        time.sleep(0.5 * (spec.p > 2))
+        return [], []
+
+    monkeypatch.setattr(harness, "run_cell", fake_cell)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="forced failure"):
+        run_grid(small_config(tmp_path, grid_n=[64], grid_p=list(range(1, 21))), workers)
+    assert threading.active_count() == before
+    # each worker may have taken one more cell before the error reached this thread
+    assert sorted(started)[:2] == [1, 2] and len(started) <= 2 * workers
 
 
 def test_simulation_budget_fails_before_any_lag_sum(monkeypatch):

@@ -430,10 +430,10 @@ def test_one_budget_moves_both_size_guards(monkeypatch):
     model._check_dense_cap(3)
     with pytest.raises(DimensionTooLargeError, match="over the budget of 3888 bytes"):
         model._check_dense_cap(4)
-    # a p = 1 plan needs 24 bytes per element of N
-    simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=162))
+    # a p = 1 plan needs 56 bytes per element of N
+    simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=69))
     with pytest.raises(MemoryBudgetError, match="over the budget of 3888 bytes"):
-        simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=163))
+        simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, 1), n=8, seed=0, N=70))
 
 
 def test_omega_transform_identity_covariance(iid_spec_p2):

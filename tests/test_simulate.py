@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import lags
+from conftest import lags, peak_rss_growth
 
 import lrdcov.model as model
 import lrdcov.simulate as simulate
@@ -185,15 +185,11 @@ def test_a_taken_back_half_leaves_no_buffer_behind():
 
 
 @pytest.mark.parametrize("d, n, N, copies", [
-    (2, 64, CHUNK, None), (2, 100, 20_000, 50), (4, 100, 20_011, 200),
+    (1, 100, 20_000, 50), (2, 64, CHUNK, None), (2, 100, 20_000, 50), (4, 100, 20_011, 200),
     (10, 64, CHUNK, None), (10, 250, 62_500, 200), (30, 50, 5000, 100)],
-    ids=["d2-one-chunk", "d2", "d4-all-lags", "d10-one-chunk", "d10", "d30"])
+    ids=["d1", "d2-one-chunk", "d2", "d4-all-lags", "d10-one-chunk", "d10", "d30"])
 @pytest.mark.parametrize("pool_state", ["none", "free"])
 def test_peak_bytes_cover_the_traced_peak(d, n, N, copies, pool_state):
-    # At d = 1 the three N-sized arrays of the one channel (its innovations,
-    # their spectrum and the decay's) fill the 24 bytes per lag that
-    # test_one_budget_moves_both_size_guards pins, and tracemalloc reads a few
-    # KiB of call objects above it, so d = 1 is left out.
     plan = SimulationPlan(toeplitz_spec(2.0, d, truncation=N - 1), n, seed=1, N=N,
                           copies_requested=copies)
     with ThreadPoolExecutor(1) as executor:
@@ -206,6 +202,24 @@ def test_peak_bytes_cover_the_traced_peak(d, n, N, copies, pool_state):
         finally:
             tracemalloc.stop()
     assert peak <= plan.peak_bytes
+
+
+@pytest.mark.parametrize("d, helper", [(1, False), (2, False), (2, True), (10, True)],
+                         ids=["d1", "d2", "d2-helper", "d10-helper"])
+def test_peak_bytes_cover_the_peak_rss_growth(d, helper):
+    # tracemalloc does not see pocketfft's scratch, which below d = 5 is most of
+    # the peak (two transform calls at once at d = 2 with a helper; at d = 1 the
+    # helper has no channel to take).  Below about 2^20 lags the heap's free
+    # memory hides part of the growth.
+    grown, estimate = peak_rss_growth(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from lrdcov import SimulationPlan, simulate_multidimensional, toeplitz_spec\n"
+        f"pool = ThreadPoolExecutor(1) if {helper} else None\n"
+        f"plan = SimulationPlan(toeplitz_spec(2.0, {d}, truncation=2**20 - 1), 1024, seed=1, "
+        "N=2**20)\n"
+        f"simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, {d}), 4, seed=0), pool)",
+        "simulate_multidimensional(plan, pool)", "plan.peak_bytes")
+    assert grown <= estimate
 
 
 @pytest.mark.parametrize("spec", [toeplitz_spec(2.0, 4, truncation=10**6),
@@ -270,7 +284,7 @@ def test_plan_validation():
 
 def test_memory_budget_error(monkeypatch):
     plan = SimulationPlan(toeplitz_spec(2.0, 2), n=32, seed=0, N=1024)
-    monkeypatch.setattr(model, "MEMORY_BUDGET", 100 * 24)  # the plan needs 1024 * (2 * 20 + 4)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 100 * 24)  # the plan needs 1024 * (2 * 20 + 36)
     with pytest.raises(MemoryBudgetError):
         simulate_multidimensional(plan)
 
