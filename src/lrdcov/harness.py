@@ -24,24 +24,25 @@ them per copy: Sigma_hat, Omega_hat, their max-deviations and one bootstrap
 window each.  The reference lane needs only the spec and its lag-0 truth: it
 computes the long-run factor and the matrix draws of a built-in spec, or a
 custom spec's Gamma_0..Gamma_H stack, dense reference and factor, and their
-draws.  It runs on the cell's one helper thread: queued before the simulation
-when both lanes' estimated peaks fit model.MEMORY_BUDGET together (numpy
-releases the GIL in the draws, FFTs, einsum and batched linear algebra), so the
-cell's peak memory is their sum, and otherwise after the per-copy statistics,
-once the paths are freed.  The calling thread's peak is the simulation's, or
-the paths beside both copy blocks' (copies, p, p) stacks if that is larger.
-Each estimate is fitted to peak RSS and meets the budget in one check,
-model._check_budget: the calling thread's raises MemoryBudgetError before the
-cell simulates, the lane's skips its targets.  The helper also takes half of
-the work three times, each time in a half queued on it while the calling thread
-runs the other (simulate._in_halves): the simulation's transforms, its template
-product, and the per-copy statistics, in two blocks of copies whose stacks die
-with the block.  A half the helper has not started by then, because the
-reference lane still holds it, is taken back and run inline.  Each lane draws
-from its own seed, every half computes what the whole would for its channels or
-copies and scoring stays on the calling thread, so the outputs do not depend on
-which thread ran what.  One DEBUG record per cell, under the "lrdcov.harness"
-logger, gives the wall time of each phase and which thread ran each block.
+draws.  It is the first job of the cell's one helper thread, placed before it
+starts: beside the simulation when both lanes' estimated peaks fit
+model.MEMORY_BUDGET together (numpy releases the GIL in the draws, FFTs, einsum
+and batched linear algebra), and otherwise alone, with the calling thread
+waiting for it before it simulates, so the lane never meets the paths.  The
+calling thread's peak is the simulation's, or the paths beside both copy
+blocks' (copies, p, p) stacks if larger.  Each estimate is fitted to peak RSS
+and meets the budget in one check, model._check_budget: the calling thread's
+raises MemoryBudgetError before the cell simulates, the lane's skips its
+targets.  The helper also takes half of the work three times, each time in a
+half queued on it while the calling thread runs the other (simulate._in_halves):
+the simulation's transforms, its template product, and the per-copy statistics,
+in two blocks of copies whose stacks die with the block.  A half the helper has
+not started by then, because the reference lane still holds it, is taken back
+and run inline.  Each lane draws from its own seed, every half computes what
+the whole would for its channels or copies and scoring stays on the calling
+thread, so the outputs do not depend on which thread ran what.  One DEBUG
+record per cell, under the "lrdcov.harness" logger, gives the wall time of each
+phase and which thread ran each block.
 
 Every cell owns a seed derived from the experiment seed, so reruns of the
 same configuration are byte-identical.  Wall-clock runtimes are measured and
@@ -95,11 +96,11 @@ ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
 _FACTOR_BYTES_PER_POINT = 32
 _DRAW_BYTES_PER_ELEMENT = 34
 _LAG_BYTES_PER_ELEMENT = 13
-# Copy-block peak bytes per copy and (p, p) entry, within 10% of tracemalloc
-# peaks at p 2-200: Sigma_hat, `dev` and a temporary, and with the precision
-# targets Omega_hat, its window conjugate and their temporaries.
-_COV_BLOCK_BYTES_PER_ENTRY = 24
-_PREC_BLOCK_BYTES_PER_ENTRY = 42
+# Copy-block peak bytes per copy and (p, p) entry (Sigma_hat, `dev` and a temporary;
+# with the precision targets Omega_hat, its window conjugate and temporaries): over
+# peak-RSS growth at p 50-200 (23.7-25.4 and 40-41.5) and within 10% of tracemalloc.
+_COV_BLOCK_BYTES_PER_ENTRY = 26
+_PREC_BLOCK_BYTES_PER_ENTRY = 43
 
 _log = logging.getLogger(__name__)
 
@@ -122,6 +123,17 @@ _LIST_FIELDS = ("grid_n", "grid_p", "betas", "targets")
 _POSITIVE_FIELDS = ("grid_n", "grid_p", "betas", "replicates")
 
 
+def _check_field(key: str, value, name: str) -> None:
+    """Raise a ValueError naming `name` unless `value` suits the config field `key`:
+    a wrong type would fail deep in a cell, a bare string of targets per character."""
+    (kind, forms), listed = _FIELD_TYPES[key], key in _LIST_FIELDS
+    if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
+            or any(not isinstance(v, kind) or isinstance(v, bool)
+                   or key in _POSITIVE_FIELDS and not 0 < v < math.inf
+                   or key == "seed" and v < 0 for v in (value if listed else [value]))):
+        raise ValueError(f"{name} must be {'a list of ' * listed}{forms}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_n: Sequence[int]
@@ -135,17 +147,8 @@ class ExperimentConfig:
     output_dir: str = "experiment-out"
 
     def __post_init__(self):
-        # Checked once here, naming the key: a wrong type would otherwise fail deep
-        # in run_grid, and a bare string of targets would be read per character.
-        for key, (kind, name) in _FIELD_TYPES.items():
-            value, listed = getattr(self, key), key in _LIST_FIELDS
-            if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
-                    or any(not isinstance(v, kind) or isinstance(v, bool)
-                           or key in _POSITIVE_FIELDS and not 0 < v < math.inf
-                           or key == "seed" and v < 0
-                           for v in (value if listed else [value]))):
-                raise ValueError(f"config key {key!r} must be {'a list of ' * listed}"
-                                 f"{name}, got {value!r}")
+        for key in _FIELD_TYPES:
+            _check_field(key, getattr(self, key), f"config key {key!r}")
         _parse_token(parse_structure, self.structure, "config key 'structure'", STRUCTURE_FORMS)
         unknown = [k for k in self.targets if k not in ALL_TARGETS]
         if unknown:
@@ -344,6 +347,8 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     conjugated by the true Omega, drawn on the cell's helper thread (see the
     module docstring).  Targets are scored one at a time, in ALL_TARGETS order.
     """
+    for key, value in (("targets", targets), ("replicates", replicates), ("seed", seed)):
+        _check_field(key, value, key)
     targets = tuple(targets)
     for kind in targets:
         if kind not in ALL_TARGETS:
@@ -376,18 +381,18 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
                   f"statistics need")
     lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
                    replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
-    fits = main + (_reference_peak_bytes(spec, replicates) if ga_kinds
-                   else 0) <= model.MEMORY_BUDGET
+    alone = ga_kinds and main + _reference_peak_bytes(spec, replicates) > model.MEMORY_BUDGET
     with ThreadPoolExecutor(1, "lrdcov-helper") as pool:
-        helper = pool.submit(_timed, lane) if fits else None
+        helper = pool.submit(_timed, lane)
+        if alone:  # the lanes fit only one at a time: the reference lane ends first
+            helper.result()
         sim_s = time.perf_counter()
         X = simulate_multidimensional(plan, pool).data
         sim_s = time.perf_counter() - sim_s
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
         block = partial(_copy_block, X, ends, truth, l, prec, boots)
         blocks = _in_halves(pool, partial(_timed, block), replicates)
-        del X, block  # a lane queued only now runs without the paths
-        draws, lane_took = (helper or pool.submit(_timed, lane)).result()
+        draws, lane_took = helper.result()
 
     outs = [out for out, _ in blocks]
     failed = [out["prec_error"] for out in outs

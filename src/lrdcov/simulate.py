@@ -42,11 +42,11 @@ from .model import CoefficientSpec, _check_budget, decay_sequence, template
 # and FFT scratch (24 B per lag; two calls run at once with a helper and d >= 2).
 # At N 10^6 and 4*10^6, RSS per element reads 40 B at d = 1, 36 at d = 2 with a
 # helper (24 without), 22 at d = 4 and 14-18 at d = 10, against estimates of 56,
-# 38, 29 and 23.6.  A custom spec adds 24 per lag and entry of its (p, N)
-# convolutions and its (N, p, d) coefficients' transform.
+# 38, 29 and 23.6.  A custom spec takes 14 per lag and entry of (p + 1) x (d + 1):
+# its innovations, convolutions and coefficient transforms (RSS 8.8-13.3, p, d 1-10).
 _BYTES_PER_ELEMENT = 20
 _BYTES_PER_LAG = 36
-_CUSTOM_BYTES_PER_ELEMENT = 24
+_CUSTOM_BYTES_PER_ELEMENT = 14
 # Rows of E per standard_normal call: a chunk and its transpose stay in cache.
 _CHUNK_ROWS = 1 << 13
 
@@ -87,12 +87,12 @@ class SimulationPlan:
 
     @property
     def peak_bytes(self) -> int:
-        """Estimated peak bytes of simulating this plan; a custom spec adds its (p, N)
-        convolutions, its coefficients' transform and the (N, p, d) stack the spec holds."""
+        """Estimated peak bytes of simulating this plan, beside the coefficients a
+        custom spec already holds (see _CUSTOM_BYTES_PER_ELEMENT)."""
         p, d, N = self.spec.p, self.spec.d, self.N
-        built_in = _BYTES_PER_ELEMENT * N * d + _BYTES_PER_LAG * N
-        return built_in + (0 if self.spec.separable
-                           else _CUSTOM_BYTES_PER_ELEMENT * N * p * (d + 1))
+        if self.spec.separable:
+            return _BYTES_PER_ELEMENT * N * d + _BYTES_PER_LAG * N
+        return _CUSTOM_BYTES_PER_ELEMENT * N * (p + 1) * (d + 1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,6 +223,22 @@ def test_unknown_target_is_rejected_with_the_config(tmp_path):
         run_cell(toeplitz_spec(2.0, 2), n=64, targets=("cov_ga", "cov_bootstrap"),
                  output_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("targets", "cov_ga", "targets must be a list of strings, got 'cov_ga'"),
+    ("replicates", 0, "replicates must be a positive integer, got 0"),
+    ("seed", -1, "seed must be a non-negative integer, got -1")],
+    ids=["bare-string-targets", "no-replicates", "negative-seed"])
+def test_run_cell_names_a_bad_argument_before_it_computes(tmp_path, monkeypatch, argument,
+                                                          value, message):
+    calls = []
+    monkeypatch.setattr(harness, "resolve_block_length", lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as err:
+        run_cell(toeplitz_spec(2.0, 2), n=64, **{argument: value},
+                 output_dir=str(tmp_path / "out"))
+    assert str(err.value) == message
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_whole_cell_failure_skips_each_target_once_in_order(tmp_path):
@@ -480,8 +495,8 @@ def test_custom_cell_checks_the_cap_before_building_a_lag_stack(monkeypatch):
     spec = custom_spec(lags(lambda t: (t + 1.0) ** -1.5 * mix, 150), beta=1.5)  # N = 144
     calls = count_lag_stacks(monkeypatch)
     # one byte short of the dense reference's 48 p^4, which the lane's estimate
-    # includes; the simulator's estimate, N (144) x (20 d + 36 + 24 p (d + 1)), is
-    # 414144 bytes and fits
+    # includes; the simulator's estimate, N (144) x 14 (p + 1) (d + 1), is 243936
+    # bytes and fits
     monkeypatch.setattr(model, "MEMORY_BUDGET", 48 * p**4 - 1)
     lane = harness._reference_peak_bytes(replace(spec, truncation=n * n - 1), n)
     results, skipped = run_cell(spec, n=n, replicates=n, seed=4, block_rule=FixedBlocks(6))
@@ -508,8 +523,9 @@ class Schedule:
     takes the first half: this thread's half waits until the helper has started
     it), "held" (the lane holds the helper until this thread has started the
     first half, which it can only do by taking it back) or "tight" (the two
-    lanes' peaks do not fit the budget together, so the lane runs after both
-    blocks; this thread's half again waits for the helper's)."""
+    lanes' peaks do not fit the budget together, so this thread waits for the
+    lane before it simulates; its half again waits for the helper's).  In every
+    mode the lane is the helper's first job."""
 
     def __init__(self, monkeypatch, mode="beside"):
         self.events, self.mode, self.caller = [], mode, threading.current_thread()
@@ -575,7 +591,7 @@ def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch,
                                                           replicates, targets):
     # the three schedules of Schedule: the lane beside the simulation with the
     # helper running [0, R/2), a held lane with both halves inline on this thread,
-    # and a tight budget with the lane on the helper after both blocks
+    # and a tight budget with the lane on the helper before the simulation
     schedule, me, half = Schedule(monkeypatch), threading.current_thread(), replicates // 2
     outputs = {}
     for mode in ("beside", "held", "tight"):
@@ -596,8 +612,8 @@ def test_concurrent_and_inline_lanes_write_the_same_bytes(tmp_path, monkeypatch,
         else:  # the helper runs the first half, this thread the second
             assert sorted((lo, hi) for lo, hi, _ in blocks) == [(0, half), (half, replicates)]
             assert all((t is me) == (lo == half) for lo, _, t in blocks)
-        if mode == "tight":
-            assert all(what == "lane" for what, _ in schedule.events[len(blocks):])
+        if mode == "tight":  # the lane ends before the simulation, so before either block
+            assert [what for what, _ in schedule.events[:len(lanes)]] == ["lane"] * len(lanes)
         else:  # the helper runs the lane first
             assert [what for what, t in schedule.events if t is not me][:len(lanes)] == (
                 ["lane"] * len(lanes))
@@ -716,9 +732,12 @@ def test_lanes_that_fit_only_one_at_a_time_run_in_turn(tmp_path, monkeypatch):
             spec, n=n, replicates=replicates, seed=2, output_dir=str(outdir)))
         lanes = schedule.lane_threads
         assert len(lanes) == 2 and all(t is not me for t in lanes)
-        # at the tighter budget the lane starts only after both blocks
-        first_two = {what for what, _ in schedule.events[:2]}
-        assert (first_two == {(0, 50), (50, 100)}) == (budget == main)
+        # the helper draws before it takes a block; at the tighter budget the lane
+        # ends before the simulation starts, so before either block
+        helper_first = [what for what, t in schedule.events if t is not me][:2]
+        assert helper_first == ["lane", "lane"]
+        if budget == main:
+            assert [what for what, _ in schedule.events[:2]] == ["lane", "lane"]
     assert outputs[main] == outputs[main + lane_bytes]
 
 
@@ -788,34 +807,68 @@ def test_reference_lane_failure_skips_its_targets(tmp_path, monkeypatch):
     assert f"estimated {48 * p**4} bytes, over the budget of {48 * p**4 - 1} bytes" in skipped
 
 
-def test_a_lane_queued_after_the_blocks_runs_without_the_paths(monkeypatch):
-    simulate, lane = harness.simulate_multidimensional, harness._reference_draws
-    paths, alive = [], []
+def lanes_fit_one_at_a_time(monkeypatch, spec, n, replicates, l):
+    """Set model.MEMORY_BUDGET to the larger of a run_cell's two estimates, so that
+    its two lanes fit only one at a time."""
+    N = n * max(n, replicates)
+    plan = SimulationPlan(replace(spec, truncation=min(spec.truncation, N - 1)), n, seed=0,
+                          N=N, copies_requested=replicates)
+    main = harness._main_peak_bytes(plan, l, prec=spec.p < n)
+    lane = harness._reference_peak_bytes(plan.spec, replicates)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", max(main, lane))
+    assert main + lane > model.MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["dropped", "kept"])
+def test_a_lane_that_fits_only_alone_draws_before_the_simulation(monkeypatch, keep):
+    # with `keep` the simulator's caller holds every batch it returns, as a traced
+    # run does, and the lane still never runs beside the paths
+    simulate, draw = harness.simulate_multidimensional, harness.sample_max_abs
+    events, kept = [], []
 
     def recording_simulate(plan, pool):
+        events.append("simulate")
         batch = simulate(plan, pool)
-        paths.append(weakref.ref(batch.data))
+        if keep:
+            kept.append(batch)
         return batch
 
-    def recording_lane(*args):
-        alive.append(paths[0]() is not None)
-        return lane(*args)
+    def recording_draw(ref, reps, seed):
+        events.append(("draw", len(kept)))
+        out = draw(ref, reps, seed)
+        events.append(("drawn", len(kept)))
+        return out
 
+    lanes_fit_one_at_a_time(monkeypatch, toeplitz_spec(2.0, 3), 64, 20, 8)
     monkeypatch.setattr(harness, "simulate_multidimensional", recording_simulate)
-    monkeypatch.setattr(harness, "_reference_draws", recording_lane)
-    # the lanes do not fit together, so the lane is queued after both blocks
-    monkeypatch.setattr(harness, "_reference_peak_bytes",
-                        lambda spec, replicates: model.MEMORY_BUDGET)
-    results, _ = run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3,
-                          block_rule=FixedBlocks(8))
-    assert alive == [False] and "cov_ga" in [r.kind for r in results]
+    monkeypatch.setattr(harness, "sample_max_abs", recording_draw)
+    results, skipped = run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3,
+                                block_rule=FixedBlocks(8))
+    assert events == [("draw", 0), ("drawn", 0)] * 2 + ["simulate"]
+    assert [r.kind for r in results] == list(ALL_TARGETS) and skipped == []
+    assert len(kept) == keep
+
+
+def test_a_failing_lane_that_runs_alone_ends_the_cell_before_its_simulation(monkeypatch):
+    def boom(*args):
+        raise ArithmeticError("forced failure")
+
+    simulate, simulated = harness.simulate_multidimensional, []
+    monkeypatch.setattr(harness, "simulate_multidimensional",
+                        lambda plan, pool: simulated.append(plan) or simulate(plan, pool))
+    monkeypatch.setattr(harness, "sample_max_abs", boom)
+    lanes_fit_one_at_a_time(monkeypatch, toeplitz_spec(2.0, 3), 64, 20, 8)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="forced failure"):
+        run_cell(toeplitz_spec(2.0, 3), n=64, replicates=20, seed=3, block_rule=FixedBlocks(8))
+    assert threading.active_count() == before and simulated == []
 
 
 @pytest.mark.parametrize("spec, n, replicates", [
     (toeplitz_spec(2.0, 1), 64, 65), (coupled_custom_spec(), 40, 30)], ids=["toeplitz", "custom"])
 def test_a_lane_over_the_budget_alone_skips_its_targets(monkeypatch, spec, n, replicates):
     # the budget holds the calling thread's estimate, so the cell runs, but not the
-    # lane's: the lane, queued after both blocks, refuses before it allocates
+    # lane's: the lane, run alone before the simulation, refuses before it allocates
     N = n * max(n, replicates)
     plan = SimulationPlan(replace(spec, truncation=min(spec.truncation, N - 1)), n, seed=0,
                           N=N, copies_requested=replicates)
@@ -1011,3 +1064,20 @@ def test_copy_block_estimate_within_ten_percent_of_its_traced_peak(p, n, replica
     finally:
         tracemalloc.stop()
     assert abs(harness._blocks_peak_bytes(p, l, half, prec) / peak - 1) <= 0.1
+
+
+@pytest.mark.parametrize("p, n, replicates", [(50, 200, 100), (100, 300, 100), (200, 300, 40)])
+@pytest.mark.parametrize("prec", [False, True], ids=["cov", "prec"])
+def test_copy_block_estimate_covers_its_peak_rss_growth(p, n, replicates, prec):
+    l = round(n ** (2 / 3))
+    grown, estimate = peak_rss_growth(
+        "import numpy as np\nfrom lrdcov import harness, process_truth, toeplitz_spec\n"
+        f"truth = process_truth(toeplitz_spec(2.0, {p}), lags=0)\n"
+        f"X = np.random.default_rng(0).standard_normal(({replicates}, {n}, {p}))\n"
+        f"ends = np.random.default_rng(1).integers({l}, {n} + 1, size={replicates})\n"
+        f"args = (X, ends, truth, {l}, {prec}, ['cov_boot', 'prec_boot'] if {prec} "
+        "else ['cov_boot'])\n"
+        "harness._copy_block(*args, 0, 2)",  # warm: lazily built objects
+        f"harness._copy_block(*args, 0, {replicates})",
+        f"harness._blocks_peak_bytes({p}, {l}, {replicates}, {prec})")
+    assert grown <= estimate

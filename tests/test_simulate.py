@@ -204,22 +204,38 @@ def test_peak_bytes_cover_the_traced_peak(d, n, N, copies, pool_state):
     assert peak <= plan.peak_bytes
 
 
-@pytest.mark.parametrize("d, helper", [(1, False), (2, False), (2, True), (10, True)],
-                         ids=["d1", "d2", "d2-helper", "d10-helper"])
-def test_peak_bytes_cover_the_peak_rss_growth(d, helper):
+@pytest.mark.parametrize("spec, N, helper, loosest", [
+    ("toeplitz(1)", 2**20, False, None), ("toeplitz(2)", 2**20, False, None),
+    ("toeplitz(2)", 2**20, True, None), ("toeplitz(10)", 2**20, True, None),
+    ("mixing(1, 1)", 2**20, False, 1.7), ("mixing(2, 2)", 2**19, False, 1.7),
+    ("mixing(5, 5)", 2**17, False, 1.7), ("mixing(10, 3)", 2**17, False, 1.7),
+    ("mixing(3, 10)", 2**17, False, 1.7)],
+    ids=["d1", "d2", "d2-helper", "d10-helper", "custom-p1-d1", "custom-p2-d2", "custom-p5-d5",
+         "custom-p10-d3", "custom-p3-d10"])
+def test_peak_bytes_cover_the_peak_rss_growth(spec, N, helper, loosest):
     # tracemalloc does not see pocketfft's scratch, which below d = 5 is most of
     # the peak (two transform calls at once at d = 2 with a helper; at d = 1 the
     # helper has no channel to take).  Below about 2^20 lags the heap's free
-    # memory hides part of the growth.
+    # memory hides part of the growth.  A custom spec's 1000 lags are zero-padded
+    # to N, and its estimate is held to the built-in one's loosest ratio (23.6 B
+    # against 14 per element at d 10).
     grown, estimate = peak_rss_growth(
         "from concurrent.futures import ThreadPoolExecutor\n"
-        "from lrdcov import SimulationPlan, simulate_multidimensional, toeplitz_spec\n"
+        "import numpy as np\n"
+        "from lrdcov import SimulationPlan, custom_spec, simulate_multidimensional, "
+        "toeplitz_spec\n"
+        f"def toeplitz(d):\n    return toeplitz_spec(2.0, d, truncation={N - 1})\n"
+        "def mixing(p, d):\n"
+        "    t = np.arange(1000.0)[:, None, None]\n"
+        "    mix = np.random.default_rng(3).standard_normal((p, d))\n"
+        "    return custom_spec(mix * np.cos(t) * (t + 1.0) ** -0.8, beta=0.8)\n"
         f"pool = ThreadPoolExecutor(1) if {helper} else None\n"
-        f"plan = SimulationPlan(toeplitz_spec(2.0, {d}, truncation=2**20 - 1), 1024, seed=1, "
-        "N=2**20)\n"
-        f"simulate_multidimensional(SimulationPlan(toeplitz_spec(2.0, {d}), 4, seed=0), pool)",
+        f"spec = {spec}\n"
+        f"plan = SimulationPlan(spec, 1024, seed=1, N={N})\n"
+        "simulate_multidimensional(SimulationPlan(spec, 4, seed=0), pool)",
         "simulate_multidimensional(plan, pool)", "plan.peak_bytes")
     assert grown <= estimate
+    assert loosest is None or estimate <= loosest * grown
 
 
 @pytest.mark.parametrize("spec", [toeplitz_spec(2.0, 4, truncation=10**6),
