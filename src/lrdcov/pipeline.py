@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bootstrap import (DefaultBlocks, confidence_region, precision_blocks,
                         resolve_block_length)
@@ -132,35 +131,41 @@ def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
 def _hurst_columns(X: np.ndarray) -> np.ndarray:
     """`hurst_exponent` of each column of an (n, p) stack.  A ZeroVarianceError
     carries the index of the first failing column."""
-    rows = np.ascontiguousarray(X.T)  # (p, n): every reduction runs along the last axis
-    p, n = rows.shape
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
     if n < 32:
         raise ValueError(f"series too short for R/S analysis (n = {n} < 32)")
-    constant = np.flatnonzero(np.ptp(rows, axis=-1) == 0.0)
+    constant = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
     if constant.size:
         raise ZeroVarianceError("constant series has no rescaled range", int(constant[0]))
     sizes = 8 << np.arange((n // 16).bit_length())  # 8, 16, ... up to n/2
-    log_rs = np.empty((sizes.size, p))
+    log_rs = np.empty((p, sizes.size))  # sizes last: each column's sums run along one row
     for s, w in enumerate(sizes):
-        blocks = rows[:, :(n // w) * w].reshape(p, n // w, w)
-        centered = blocks - blocks.mean(axis=-1, keepdims=True)
-        spread = centered.std(axis=-1)
-        cumdev = np.cumsum(centered, axis=-1)
-        ranges = cumdev.max(axis=-1) - cumdev.min(axis=-1)
-        keep = spread > 0
+        m = n // w
+        # time-major copy, column j * m + b holding window b of column j: every
+        # reduction runs across rows p * m long, and a column's windows are
+        # summed along one contiguous row, the same for any p
+        blocks = X[:m * w].reshape(m, w, p).transpose(1, 2, 0).copy().reshape(w, p * m)
+        # raw values, not the spread: axis-0 sums add row after row, so a constant
+        # window's mean can miss its value and leave a spread of about 1e-17
+        varies = blocks.max(axis=0) > blocks.min(axis=0)
+        blocks -= blocks.mean(axis=0)
+        spread = np.sqrt(np.einsum("tj,tj->j", blocks, blocks) / w)
+        np.cumsum(blocks, axis=0, out=blocks)
+        ranges = blocks.max(axis=0) - blocks.min(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN: no varying window
-            log_rs[s] = np.log(np.where(keep, ranges / spread, 0.0).sum(axis=-1)
-                               / keep.sum(axis=-1))
+            ratios = np.where(varies, ranges / spread, 0.0).reshape(p, m)
+            log_rs[:, s] = np.log(ratios.sum(axis=-1) / varies.reshape(p, m).sum(axis=-1))
     fitted = ~np.isnan(log_rs)
-    count = fitted.sum(axis=0)
+    count = fitted.sum(axis=-1, keepdims=True)
     unfit = np.flatnonzero(count < 2)
     if unfit.size:
         raise ZeroVarianceError("not enough varying windows for a slope fit", int(unfit[0]))
     # least-squares slope over each column's fitted sizes, where dx is centred; 0 elsewhere
-    dx = np.where(fitted, np.log(sizes)[:, None], 0.0)
-    dx = fitted * (dx - dx.sum(axis=0) / count)
+    dx = np.where(fitted, np.log(sizes), 0.0)
+    dx = fitted * (dx - dx.sum(axis=-1, keepdims=True) / count)
     y = np.where(fitted, log_rs, 0.0)
-    return np.clip((dx * y).sum(axis=0) / (dx * dx).sum(axis=0), 0.0, 1.0)
+    return np.clip((dx * y).sum(axis=-1) / (dx * dx).sum(axis=-1), 0.0, 1.0)
 
 
 def hurst_exponent(series) -> float:
@@ -168,9 +173,10 @@ def hurst_exponent(series) -> float:
 
     For dyadic window sizes w = 8, 16, ... up to n/2, the range of the
     cumulative mean-adjusted deviations over each disjoint window is divided
-    by the window standard deviation, over the windows that vary; log of the
-    averaged ratio is regressed on log(w), over the sizes with such a window,
-    and the least-squares slope, clamped to [0, 1], is returned.
+    by the window standard deviation, over the windows whose values are not
+    all equal; log of the averaged ratio is regressed on log(w), over the
+    sizes with such a window, and the least-squares slope, clamped to [0, 1],
+    is returned.
     """
     return float(_hurst_columns(np.asarray(series, dtype=float).reshape(-1, 1))[0])
 
@@ -187,11 +193,18 @@ def _acf_counts(X: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
     constant = np.flatnonzero(denom == 0.0)
     if constant.size:
         raise ZeroVarianceError("constant series has no autocorrelation", int(constant[0]))
-    # shifted[:, h - lag_lo, t] = centered[:, t + h], zero past the end
-    padded = np.concatenate([centered, np.zeros((p, lag_hi))], axis=-1)
-    shifted = sliding_window_view(padded, n, axis=-1)[:, lag_lo:]
-    rho = np.einsum("pt,pht->ph", centered, shifted) / denom[:, None]
+    # circular autocovariance over at least n + lag_hi points: no lag up to
+    # lag_hi wraps round
+    size = _fft_length(n + lag_hi)
+    spectrum = np.fft.rfft(centered, size, axis=-1)
+    acov = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, size, axis=-1)
+    rho = acov[:, lag_lo:lag_hi + 1] / denom[:, None]
     return np.count_nonzero(np.abs(rho) > 1.96 / math.sqrt(n), axis=-1)
+
+
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b >= m: a power of two alone can nearly double m."""
+    return min(3**b << (-(-m // 3**b) - 1).bit_length() for b in range(m.bit_length()))
 
 
 def acf_significance(series, lag_lo: int = ACF_LAG_LO,
@@ -260,7 +273,8 @@ def subject_diagnostics(subject: SubjectSeries,
                         lag_hi: int = ACF_LAG_HI) -> list[tuple[str, float, int]]:
     """(column label, Hurst exponent, significant-ACF count) per coordinate.
 
-    A constant column raises ZeroVarianceError naming the subject and column.
+    A constant column raises ZeroVarianceError naming the subject and column; a
+    series too short or a lag range it cannot hold, ValueError naming the subject.
     """
     data = subject.data
     try:
@@ -269,6 +283,8 @@ def subject_diagnostics(subject: SubjectSeries,
     except ZeroVarianceError as exc:
         raise ZeroVarianceError(f"subject {subject.id!r}, column "
                                 f"{subject.labels[exc.column]!r}: {exc}", exc.column) from exc
+    except ValueError as exc:
+        raise ValueError(f"subject {subject.id!r}: {exc}") from exc
     return list(zip(subject.labels, hurst.tolist(), counts.tolist()))
 
 

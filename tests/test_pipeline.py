@@ -14,7 +14,7 @@ from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
                     subject_diagnostics, subject_graph, toeplitz_spec,
                     write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
-from lrdcov.pipeline import _hurst_columns
+from lrdcov.pipeline import _acf_counts, _fft_length, _hurst_columns
 
 LABELS5 = tuple("abcde")
 
@@ -349,12 +349,78 @@ def test_hurst_slopes_match_polyfit_per_column():
     assert info.value.column == 2
 
 
+@pytest.mark.parametrize("demean", [False, True], ids=["raw", "demeaned"])
+def test_hurst_constant_stretch_has_no_varying_window(demean):
+    # Summed row after row, equal terms round (8 x 0.1 reads 0.7999999999999999),
+    # so a constant window's mean misses its value by an ulp and its spread reads
+    # about 1e-17: judged by its spread, it would count as varying, with an R/S
+    # of about w - 1.
+    X = np.random.default_rng(6).standard_normal((2000, 4))
+    X[:1024] = [0.1, 0.3, 0.7, 1 / 3]
+    if demean:
+        X -= X.mean(axis=0)
+    for j, hurst in enumerate(_hurst_columns(X)):
+        assert hurst == pytest.approx(hurst_oracle(X[:, j]), rel=1e-12, abs=0)
+
+
+def mixed_panel(n, seed):
+    """White noise, a random walk, long memory and a constant stretch side by side."""
+    rng = np.random.default_rng(seed)
+    spec = toeplitz_spec(0.9, 1, truncation=64 * n)
+    long_memory = simulate_multidimensional(
+        SimulationPlan(spec, n=n, seed=seed, N=64 * n, copies_requested=1)).data[0, :, 0]
+    stretch = rng.standard_normal(n)
+    stretch[:n // 2] = 0.1
+    return np.column_stack([rng.standard_normal(n), rng.standard_normal(n).cumsum(),
+                            long_memory, stretch])
+
+
+@pytest.mark.parametrize("n", [2000, 4096])
+def test_stacked_kernels_are_column_independent(n):
+    # 4096 fits eight window sizes, where a sum over sizes could change order with p
+    X = mixed_panel(n, seed=n)
+    hurst, counts = _hurst_columns(X), _acf_counts(X, 21, 100)
+    for j in range(X.shape[1]):
+        assert hurst[j] == hurst_exponent(X[:, j])
+        assert counts[j] == acf_significance(X[:, j], 21, 100).count
+
+
+# n + lag_hi is already 2^a 3^b at 33 + 3, 47 + 1, 64 + 32, 101 + 7, 120 + 96, 2000 + 187
+@pytest.mark.parametrize("n, lags", [(33, [(21, 32), (1, 3)]), (47, [(21, 46), (1, 1)]),
+                                     (64, [(21, 63), (1, 32)]), (101, [(21, 100), (7, 7)]),
+                                     (120, [(21, 100), (1, 96)]),
+                                     (2000, [(21, 100), (1, 187)])])
+def test_acf_counts_match_per_lag_loop(n, lags):
+    X = mixed_panel(n, seed=n)
+    for lag_lo, lag_hi in lags:
+        counts = _acf_counts(X, lag_lo, lag_hi)
+        assert counts.tolist() == [acf_count_oracle(X[:, j], lag_lo, lag_hi)
+                                   for j in range(X.shape[1])]
+
+
+def test_fft_length_is_the_smallest_two_three_smooth_length():
+    smooth = sorted(2**a * 3**b for a in range(14) for b in range(9))
+    assert [_fft_length(m) for m in range(1, 6000)] == [
+        next(s for s in smooth if s >= m) for m in range(1, 6000)]
+
+
 def test_diagnostics_constant_column_names_subject_and_column():
     X = np.random.default_rng(4).standard_normal((200, 3))
     X[:, 1] = 7.0
     subject = SubjectSeries("subj07", X - X.mean(axis=0), ("left", "mid", "right"))
     with pytest.raises(ZeroVarianceError, match="subj07.*'mid'"):
         subject_diagnostics(subject)
+
+
+@pytest.mark.parametrize("n, lag_lo, message", [
+    (20, 21, r"series too short for R/S analysis \(n = 20 < 32\)"),
+    (200, 0, r"lag range \[0, 100\] invalid for n = 200"),
+    (40, 50, r"lag range \[50, 39\] invalid for n = 40")])
+def test_diagnostics_value_errors_name_the_subject(n, lag_lo, message):
+    X = np.random.default_rng(4).standard_normal((n, 3))
+    subject = SubjectSeries("subj07", X - X.mean(axis=0), ("left", "mid", "right"))
+    with pytest.raises(ValueError, match=rf"^subject 'subj07': {message}$"):
+        subject_diagnostics(subject, lag_lo=lag_lo)
 
 
 # --- subject graphs ---------------------------------------------------------------
