@@ -79,6 +79,7 @@ from .model import (_REFERENCE_BYTES_PER_P4, CoefficientSpec, ProcessTruth, _che
                     _long_run_factor, autocovariance_sequence, banded_spec,
                     gaussian_long_run_covariance, omega_transformed_long_run,
                     process_truth, template, toeplitz_spec)
+from .pipeline import _CsvFields
 from .simulate import SimulationPlan, _in_halves, simulate_multidimensional
 
 COV_GA = "cov_ga"
@@ -86,6 +87,9 @@ COV_BOOT = "cov_boot"
 PREC_GA = "prec_ga"
 PREC_BOOT = "prec_boot"
 ALL_TARGETS = (COV_GA, COV_BOOT, PREC_GA, PREC_BOOT)
+# the error sample each target is scored against
+_ERRORS = {COV_GA: "cov_error", COV_BOOT: "cov_error", PREC_GA: "prec_error",
+           PREC_BOOT: "prec_error"}
 
 # Reference-lane peak bytes, fitted to peak-RSS growth, which unlike tracemalloc
 # sees pocketfft's scratch: 32 per point of the long-run factor's FFT (RSS reads
@@ -110,7 +114,7 @@ STRUCTURE_FORMS = "'toeplitz' or 'banded:<bandwidth>'"
 BLOCK_RULE_FORMS = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
 
 
-# Each config field's type and how an error names it; the list fields hold that type.
+# The type of each config field and of run_cell's n, and how an error names it.
 _FIELD_TYPES = {"grid_n": (Integral, "positive integers"),
                 "grid_p": (Integral, "positive integers"),
                 "betas": (Real, "finite positive numbers"), "targets": (str, "strings"),
@@ -118,20 +122,23 @@ _FIELD_TYPES = {"grid_n": (Integral, "positive integers"),
                 "replicates": (Integral, "a positive integer"),
                 "output_dir": ((str, PathLike), "a path"),
                 "block_rule": ((DefaultBlocks, FixedBlocks, TheoreticalBlocks),
-                               "a block rule")}
+                               "a block rule"), "n": (Integral, "a positive integer")}
 _LIST_FIELDS = ("grid_n", "grid_p", "betas", "targets")
-_POSITIVE_FIELDS = ("grid_n", "grid_p", "betas", "replicates")
+_POSITIVE_FIELDS = ("grid_n", "grid_p", "betas", "replicates", "n")
 
 
 def _check_field(key: str, value, name: str) -> None:
     """Raise a ValueError naming `name` unless `value` suits the config field `key`:
-    a wrong type would fail deep in a cell, a bare string of targets per character."""
+    a wrong type would fail deep in a cell, a bare string of targets per character,
+    and no targets would simulate every cell for nothing."""
     (kind, forms), listed = _FIELD_TYPES[key], key in _LIST_FIELDS
-    if (listed and (isinstance(value, str) or not isinstance(value, Sequence))
+    empty = key == "targets" and isinstance(value, Sequence) and not value
+    if (empty or listed and (isinstance(value, str) or not isinstance(value, Sequence))
             or any(not isinstance(v, kind) or isinstance(v, bool)
                    or key in _POSITIVE_FIELDS and not 0 < v < math.inf
                    or key == "seed" and v < 0 for v in (value if listed else [value]))):
-        raise ValueError(f"{name} must be {'a list of ' * listed}{forms}, got {value!r}")
+        lead = "a non-empty list of " if empty else "a list of " * listed
+        raise ValueError(f"{name} must be {lead}{forms}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,7 @@ class ExperimentConfig:
     output_dir: str = "experiment-out"
 
     def __post_init__(self):
-        for key in _FIELD_TYPES:
+        for key in vars(self):
             _check_field(key, getattr(self, key), f"config key {key!r}")
         _parse_token(parse_structure, self.structure, "config key 'structure'", STRUCTURE_FORMS)
         unknown = [k for k in self.targets if k not in ALL_TARGETS]
@@ -266,17 +273,17 @@ def _copy_block(X: np.ndarray, ends: np.ndarray, truth: ProcessTruth, l: int, pr
                 boots: Sequence[str], lo: int, hi: int) -> dict:
     """Per-copy statistics of copies lo:hi of X (R, n, p), by label: "cov_error",
     and "prec_error" when `prec`, the scaled max-deviations of Sigma_hat and
-    Omega_hat; and each bootstrap kind in `boots`, one window per copy ending at
-    `ends` (PREC_BOOT only with `prec`).  A failing sample precision leaves the
-    LrdcovError of the block's first failing copy under "prec_error" and no
-    PREC_BOOT.  Every batched call treats each copy on its own, so a block holds
-    the values, and names the error, that the whole stack would for its copies,
-    and its (hi - lo, p, p) stacks die with it.
+    Omega_hat; and each bootstrap kind among the targets `boots`, one window per
+    copy ending at `ends` (PREC_BOOT only with `prec`).  A failing sample
+    precision leaves the LrdcovError of the block's first failing copy under
+    "prec_error" and no PREC_BOOT.  Every batched call treats each copy on its
+    own, so a block holds the values, and names the error, that the whole stack
+    would for its copies, and its (hi - lo, p, p) stacks die with it.
     """
     n = X.shape[1]
     est = sample_covariance(X[lo:hi])
     stats = {"cov_error": max_deviation(est.sigma_hat, truth.sigma, n)}
-    if boots:
+    if COV_BOOT in boots or PREC_BOOT in boots:
         # l^-1/2 |rows^T rows - l Sigma_hat|_inf over the window's rows, and the
         # same for its Omega_hat conjugate; one window serves both statistics
         rows = X[np.arange(lo, hi)[:, None], ends[lo:hi, None] - l + np.arange(l)]
@@ -347,41 +354,37 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     conjugated by the true Omega, drawn on the cell's helper thread (see the
     module docstring).  Targets are scored one at a time, in ALL_TARGETS order.
     """
-    for key, value in (("targets", targets), ("replicates", replicates), ("seed", seed)):
+    for key, value in dict(n=n, targets=targets, replicates=replicates, seed=seed).items():
         _check_field(key, value, key)
-    targets = tuple(targets)
     for kind in targets:
         if kind not in ALL_TARGETS:
             raise ValueError(f"unknown target {kind!r}")
-    kinds = [k for k in ALL_TARGETS if k in targets]
     start = time.perf_counter()
     p, beta = spec.p, spec.beta
-    skipped: list[SkippedTarget] = []
 
-    root = np.random.SeedSequence(seed)
-    sim_ss, window_ss, zcov_ss, zprec_ss = root.spawn(4)
-
+    sim_ss, window_ss, zcov_ss, zprec_ss = np.random.SeedSequence(seed).spawn(4)
     l = resolve_block_length(block_rule, n, p, beta)
     N = max(n * n, replicates * n)
     spec = replace(spec, truncation=N - 1 if spec.separable else min(spec.truncation, N - 1))
-    plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N,
-                          copies_requested=replicates)
+    plan = SimulationPlan(spec, n, seed=_seed_int(sim_ss), N=N, copies_requested=replicates)
     _check_budget(plan.peak_bytes, f"N*d = {N * spec.d} needs")  # before the truth's H + 1 lags
     truth = process_truth(spec, lags=0)
-    prec_kinds = [k for k in kinds if k in (PREC_GA, PREC_BOOT)]
+    # The cell's ledger: `skips`, each skipped target's reason in the order found (p >= n
+    # or a singular truth, the sample precision, then the reference lane, which never
+    # replaces an earlier reason); `live`, the requested targets it does not skip, in
+    # ALL_TARGETS order; and, once the copies are scored, `samples`, every sample by label.
     reason = (f"precision targets need p < n (p={p}, n={n})" if p >= n
               else "true covariance is not invertible" if truth.omega is None else None)
-    # prec_ga is drawn unless a reason skips it now; if the sample precision then
-    # fails, known only after the simulation, its draws go unused
-    ga_kinds = [k for k in kinds if k == COV_GA or k == PREC_GA and reason is None]
-    boots = [k for k in kinds if k == COV_BOOT or k == PREC_BOOT and reason is None]
-    prec = bool(prec_kinds) and reason is None
+    skips = {k: reason for k in (PREC_GA, PREC_BOOT) if reason and k in targets}
+    live = [k for k in ALL_TARGETS if k in targets and k not in skips]
+    prec = PREC_GA in live or PREC_BOOT in live
     main = _main_peak_bytes(plan, l, prec)
     _check_budget(main, f"{replicates} copies of a {n} x {p} path with their per-copy "
                   f"statistics need")
-    lane = partial(contextvars.copy_context().run, _reference_draws, truth, ga_kinds,
-                   replicates, {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
-    alone = ga_kinds and main + _reference_peak_bytes(spec, replicates) > model.MEMORY_BUDGET
+    lane = partial(contextvars.copy_context().run, _reference_draws, truth,
+                   [k for k in live if k in (COV_GA, PREC_GA)], replicates,
+                   {COV_GA: _seed_int(zcov_ss), PREC_GA: _seed_int(zprec_ss)})
+    alone = main + _reference_peak_bytes(spec, replicates) > model.MEMORY_BUDGET
     with ThreadPoolExecutor(1, "lrdcov-helper") as pool:
         helper = pool.submit(_timed, lane)
         if alone:  # the lanes fit only one at a time: the reference lane ends first
@@ -390,36 +393,26 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
         X = simulate_multidimensional(plan, pool).data
         sim_s = time.perf_counter() - sim_s
         ends = np.random.default_rng(window_ss).integers(l, n + 1, size=replicates)
-        block = partial(_copy_block, X, ends, truth, l, prec, boots)
+        block = partial(_copy_block, X, ends, truth, l, prec, live)
         blocks = _in_halves(pool, partial(_timed, block), replicates)
         draws, lane_took = helper.result()
 
     outs = [out for out, _ in blocks]
-    failed = [out["prec_error"] for out in outs
-              if isinstance(out.get("prec_error"), LrdcovError)]
-    if failed:
-        reason = f"sample precision failed: {failed[0]}"
-    stats = {key: np.concatenate([out[key] for out in outs]) for key in outs[0]
-             if not (failed and key in ("prec_error", PREC_BOOT))}
-    if prec_kinds and reason is not None:
-        skipped.extend(SkippedTarget(n, p, beta, k, reason) for k in prec_kinds)
-        kinds = [k for k in kinds if k not in prec_kinds]
-    samples = {key: stats[key] for key in ("cov_error", "prec_error") if key in stats}
+    failed = [out["prec_error"] for out in outs if isinstance(out.get("prec_error"), LrdcovError)]
+    skips.update((k, f"sample precision failed: {failed[0]}")
+                 for k in live if failed and _ERRORS[k] == "prec_error")
+    samples = {label: np.concatenate([out[label] for out in outs]) for label in outs[0]
+               if not (failed and label in ("prec_error", PREC_BOOT))}
+    for kind, drawn in draws.items():  # or the error that skips it; unused if skipped since
+        if isinstance(drawn, LrdcovError):
+            skips.setdefault(kind, str(drawn))
+        elif kind not in skips:
+            samples[kind] = drawn
+    live = [k for k in live if k not in skips]
 
     scoring_s = time.perf_counter()
-    scores = []
-    for kind in kinds:
-        errors = samples["prec_error" if kind in (PREC_GA, PREC_BOOT) else "cov_error"]
-        if kind in (COV_BOOT, PREC_BOOT):
-            approx = stats[kind]
-        else:
-            approx = draws[kind]
-            if isinstance(approx, LrdcovError):
-                skipped.append(SkippedTarget(n, p, beta, kind, str(approx)))
-                continue
-        samples[kind] = approx
-        scores.append((kind, kolmogorov_distance(errors, approx),
-                       wasserstein1(errors, approx)))
+    scores = [(kind, kolmogorov_distance(samples[_ERRORS[kind]], samples[kind]),
+               wasserstein1(samples[_ERRORS[kind]], samples[kind])) for kind in live]
     scoring_s = time.perf_counter() - scoring_s
 
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
@@ -432,16 +425,15 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
         outdir.mkdir(parents=True, exist_ok=True)
         tag = f"n{n}_p{p}_b{beta:.6g}"
         q = min(99, replicates)
-        for r in results:
-            errors = samples["prec_error" if r.kind.startswith("prec") else "cov_error"]
-            if q >= 2:
-                _write_qq(outdir / f"qq_{tag}_{r.kind}.csv", samples[r.kind], errors, q)
-        _write_ecdf(outdir / f"ecdf_{tag}.csv", samples)
+        for kind in live if q >= 2 else ():
+            _write_qq(outdir / f"qq_{tag}_{kind}.csv", samples[kind], samples[_ERRORS[kind]], q)
+        _write_ecdf(outdir / f"ecdf_{tag}.csv", {label: samples[label] for label in (
+            "cov_error", "prec_error", *live) if label in samples})
     write_s = time.perf_counter() - write_s
     _log.debug("cell n=%d p=%d beta=%.6g: simulate %.4f s; copies %s; reference lane %s; "
                "scoring %.4f s; sidecars %.4f s", n, p, beta, sim_s,
                ", ".join(took for _, took in blocks), lane_took, scoring_s, write_s)
-    return results, skipped
+    return results, [SkippedTarget(n, p, beta, kind, why) for kind, why in skips.items()]
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
@@ -494,8 +486,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[CellResult]:
             all_results.extend(results)
             all_skipped.extend(skipped)
     if all_skipped:
+        reason = _CsvFields()
         with open(outdir / "skipped.csv", "w", newline="\n") as fh:
             fh.write(SKIPPED_HEADER)
             for s in all_skipped:
-                fh.write(f"{s.n},{s.p},{s.beta:.6g},{s.kind},{s.reason}\n")
+                fh.write(f"{s.n},{s.p},{s.beta:.6g},{s.kind},{reason[s.reason]}\n")
     return all_results

@@ -288,17 +288,31 @@ def subject_diagnostics(subject: SubjectSeries,
     return list(zip(subject.labels, hurst.tolist(), counts.tolist()))
 
 
+class _CsvFields(dict):
+    """text -> text as one CSV field, quoted as the default csv.writer does:
+    only a field holding a comma, a quote, CR or LF, its quotes doubled.  Each
+    distinct text is quoted once, so a writer pays one lookup per field."""
+
+    def __missing__(self, text: str) -> str:
+        quote = "," in text or '"' in text or "\r" in text or "\n" in text
+        self[text] = field = '"%s"' % text.replace('"', '""') if quote else text
+        return field
+
+
 def write_edges_csv(edge_set: EdgeSet, path) -> None:
+    field = _CsvFields()
     with open(path, "w", newline="\n") as fh:
         fh.write("source,target,count,score\n")
         for (a, b), stat in _ranked(edge_set.edges):
-            fh.write(f"{a},{b},{stat.count},{stat.score:.10g}\n")
+            fh.write(f"{field[a]},{field[b]},{stat.count},{stat.score:.10g}\n")
 
 
 def write_diagnostics_csv(rows_by_subject: Iterable[tuple[str, list]], path) -> None:
     """rows_by_subject yields (SubjectSeries.id, subject_diagnostics(...)) pairs."""
+    field = _CsvFields()
     with open(path, "w", newline="\n") as fh:
         fh.write("subject,column,hurst,acf_count\n")
         for subject, rows in rows_by_subject:
+            subject = field[subject]
             for label, hurst, acf_count in rows:
-                fh.write(f"{subject},{label},{hurst:.10g},{acf_count}\n")
+                fh.write(f"{subject},{field[label]},{hurst:.10g},{acf_count}\n")

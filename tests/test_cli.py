@@ -178,7 +178,9 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path, capsys):
                                         # a seed numpy rejects after results.csv is opened
                                         ("seed", -3),
                                         # an infinite beta, which ran as an iid cell
-                                        ("betas", [math.inf])])
+                                        ("betas", [math.inf]),
+                                        # no targets, which simulated every cell for nothing
+                                        ("targets", [])])
 def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, capsys, key,
                                                                   value):
     config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import logging
@@ -228,17 +229,36 @@ def test_unknown_target_is_rejected_with_the_config(tmp_path):
 @pytest.mark.parametrize("argument, value, message", [
     ("targets", "cov_ga", "targets must be a list of strings, got 'cov_ga'"),
     ("replicates", 0, "replicates must be a positive integer, got 0"),
-    ("seed", -1, "seed must be a non-negative integer, got -1")],
-    ids=["bare-string-targets", "no-replicates", "negative-seed"])
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("targets", [], "targets must be a non-empty list of strings, got []"),
+    ("n", 100.0, "n must be a positive integer, got 100.0"),
+    ("n", True, "n must be a positive integer, got True")],
+    ids=["bare-string-targets", "no-replicates", "negative-seed", "no-targets", "float-n",
+         "bool-n"])
 def test_run_cell_names_a_bad_argument_before_it_computes(tmp_path, monkeypatch, argument,
                                                           value, message):
     calls = []
     monkeypatch.setattr(harness, "resolve_block_length", lambda *args: calls.append(args))
     with pytest.raises(ValueError) as err:
-        run_cell(toeplitz_spec(2.0, 2), n=64, **{argument: value},
+        run_cell(toeplitz_spec(2.0, 2), **{"n": 64, argument: value},
                  output_dir=str(tmp_path / "out"))
     assert str(err.value) == message
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_skipped_csv_parses_with_a_comma_in_every_reason(tmp_path):
+    # p >= n and whole-cell failures both give reasons with a comma in them
+    config = small_config(tmp_path, grid_n=[4, 20], grid_p=[2, 30], replicates=20,
+                          block_rule=FixedBlocks(8), targets=ALL_TARGETS)
+    run_grid(config)
+    with open(tmp_path / "out" / "skipped.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == harness.SKIPPED_HEADER.strip().split(",")
+    dead = "fixed block length 8 outside [1, 4]"
+    assert rows[1:] == (
+        [["4", p, "2", kind, dead] for p in ("2", "30") for kind in ALL_TARGETS]
+        + [["20", "30", "2", kind, "precision targets need p < n (p=30, n=20)"]
+           for kind in ("prec_ga", "prec_boot")])
 
 
 def test_whole_cell_failure_skips_each_target_once_in_order(tmp_path):
@@ -885,6 +905,34 @@ def test_a_lane_over_the_budget_alone_skips_its_targets(monkeypatch, spec, n, re
                f"{main} bytes") for kind in ("cov_ga", "prec_ga")]
 
 
+@pytest.mark.parametrize("p, n, replicates, reason", [
+    (1, 64, 65, "sample precision failed: forced failure"),
+    (30, 20, 20, "precision targets need p < n (p=30, n=20)")],
+    ids=["failed-precision", "p-not-below-n"])
+def test_a_cell_with_two_skip_reasons_lists_them_in_the_order_found(monkeypatch, p, n,
+                                                                   replicates, reason):
+    # the precision targets' reason, found up front or after the simulation, comes
+    # before the reference lane's over-the-budget error, which cannot replace it
+    def singular(result):
+        raise NearSingularError("forced failure", condition_estimate=np.inf)
+
+    monkeypatch.setattr(harness, "sample_precision", singular)
+    spec, N = toeplitz_spec(2.0, p), n * max(n, replicates)
+    plan = SimulationPlan(replace(spec, truncation=N - 1), n, seed=0, N=N,
+                          copies_requested=replicates)
+    main = harness._main_peak_bytes(plan, 8, prec=p < n)
+    lane = harness._reference_peak_bytes(plan.spec, replicates)
+    assert main < lane
+    monkeypatch.setattr(model, "MEMORY_BUDGET", main)
+    results, skipped = run_cell(spec, n, replicates=replicates, seed=5,
+                                block_rule=FixedBlocks(8))
+    assert [r.kind for r in results] == ["cov_boot"]
+    assert [(s.kind, s.reason) for s in skipped] == [
+        ("prec_ga", reason), ("prec_boot", reason),
+        ("cov_ga", f"the cov_ga reference needs an estimated {lane} bytes, over the budget "
+                   f"of {main} bytes")]
+
+
 @pytest.mark.parametrize("spec, n, replicates", [
     ("toeplitz_spec(2.0, 1)", 1000, 200), ("toeplitz_spec(2.0, 10)", 1000, 200),
     ("toeplitz_spec(2.0, 100)", 100, 200),
@@ -1032,7 +1080,7 @@ def test_copy_blocks_that_cannot_fit_skip_the_cell(tmp_path, monkeypatch):
                           block_rule=FixedBlocks(l), targets=targets)
     assert run_grid(config) == []
     assert (tmp_path / "out" / "skipped.csv").read_text() == "".join(
-        [harness.SKIPPED_HEADER] + [f"100,30,2,{kind},{message}\n" for kind in targets])
+        [harness.SKIPPED_HEADER] + [f'100,30,2,{kind},"{message}"\n' for kind in targets])
     # at its estimate the cell runs, within it; an untraced run first imports what
     # a first cell imports lazily (numpy.ma, numpy.fft, numpy.random, about 1 MB
     # under tracemalloc), which a test run on its own would otherwise count

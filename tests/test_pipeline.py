@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
                     subject_diagnostics, subject_graph, toeplitz_spec,
                     write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
-from lrdcov.pipeline import _acf_counts, _fft_length, _hurst_columns
+from lrdcov.pipeline import _acf_counts, _CsvFields, _fft_length, _hurst_columns, _ranked
 
 LABELS5 = tuple("abcde")
 
@@ -577,3 +578,44 @@ def test_edge_and_diagnostics_csv(tmp_path):
     assert lines[0] == "subject,column,hurst,acf_count"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "test"
+
+
+def test_csv_fields_are_quoted_as_the_default_csv_writer_quotes_them():
+    field = _CsvFields()
+    for text in ("roi_b", "", " padded ", "a,b", 'say "hi"', "two\nlines", "cr\rhere"):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, "x"])
+        assert buf.getvalue() == f"{field[text]},x\r\n", text
+
+
+def test_outputs_quote_labels_and_ids_that_ingest_accepts(tmp_path):
+    # a subject id with a comma and labels with a comma and a quote, read back
+    # field for field; labels that need no quoting keep their bytes
+    labels = ("roi,a", "roi_b", 'roi "c"')
+    z = np.random.default_rng(12).standard_normal((400, 3))
+    data = np.column_stack([z[:, 0], z[:, 0] + 0.5 * z[:, 1], z[:, 1] + 0.5 * z[:, 2]])
+    path = tmp_path / "s,1.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([labels, *data.tolist()])
+    assert path.read_text().splitlines()[0] == '"roi,a",roi_b,"roi ""c"""'
+    subject = ingest(path)
+    assert (subject.id, subject.labels) == ("s,1", labels)
+
+    group = aggregate_group([subject_graph(subject, 0.1)], sparsity=1.0)
+    write_edges_csv(group, tmp_path / "edges.csv")
+    with open(tmp_path / "edges.csv", newline="") as fh:
+        edges = list(csv.reader(fh))
+    assert edges[0] == ["source", "target", "count", "score"]
+    assert [tuple(row[:2]) for row in edges[1:]] == [pair for pair, _ in _ranked(group.edges)]
+    assert {label for row in edges[1:] for label in row[:2]} == set(labels)
+    assert all(len(row) == 4 for row in edges)
+
+    rows = subject_diagnostics(subject)
+    write_diagnostics_csv([(subject.id, rows), ("plain", rows)], tmp_path / "diag.csv")
+    with open(tmp_path / "diag.csv", newline="") as fh:
+        diagnostics = list(csv.reader(fh))
+    assert diagnostics[1:] == [[subject_id, label, f"{hurst:.10g}", str(count)]
+                               for subject_id in ("s,1", "plain")
+                               for label, hurst, count in rows]
+    lines = (tmp_path / "diag.csv").read_text().splitlines()
+    assert lines[1].startswith('"s,1","roi,a",') and lines[5].startswith("plain,roi_b,")
