@@ -91,10 +91,11 @@ def _cmd_bootstrap_ci(args) -> int:
 
 
 def _load_sample(path: str) -> np.ndarray:
-    """One value per line; an empty file is an error that names it."""
+    """One value per line, UTF-8 with or without a byte-order mark; an empty
+    file is an error that names it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
-        values = np.loadtxt(path, ndmin=1)
+        values = np.loadtxt(path, ndmin=1, encoding="utf-8-sig")
     if values.size == 0:
         raise ValueError(f"sample file {path} holds no values")
     return values

@@ -73,12 +73,13 @@ class AcfSignificance:
 def ingest(path) -> SubjectSeries:
     """Read one subject's CSV (header row of labels, numeric rows), demeaned.
 
-    Labels must be distinct after stripping spaces.  Blank lines are skipped
+    The file is UTF-8, with or without a byte-order mark.  Labels must be
+    distinct after stripping spaces.  Blank lines are skipped
     and cells may be quoted or padded with spaces; every value must be a
     finite number, and so must each demeaned column's sum of squares.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is no label
         header = next((row for row in csv.reader(fh) if row), None)
         body = fh.read()
     if header is None:
@@ -126,6 +127,15 @@ def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
                 pass
             return f"row {i}, column {label!r}: non-numeric field {cell!r}"
     return None
+
+
+def _check_finite(X: np.ndarray, labels: Sequence) -> None:
+    """ValueError naming the row and column label of the first non-finite entry
+    of an (n, p) stack, before a kernel warns or returns a number from it."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"row {i}, column {labels[j]!r}: non-finite value {X[i, j]}")
 
 
 def _hurst_columns(X: np.ndarray) -> np.ndarray:
@@ -176,9 +186,11 @@ def hurst_exponent(series) -> float:
     by the window standard deviation, over the windows whose values are not
     all equal; log of the averaged ratio is regressed on log(w), over the
     sizes with such a window, and the least-squares slope, clamped to [0, 1],
-    is returned.
+    is returned.  A non-finite value raises ValueError naming its row.
     """
-    return float(_hurst_columns(np.asarray(series, dtype=float).reshape(-1, 1))[0])
+    X = np.asarray(series, dtype=float).reshape(-1, 1)
+    _check_finite(X, (0,))
+    return float(_hurst_columns(X)[0])
 
 
 def _acf_counts(X: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
@@ -209,8 +221,10 @@ def _fft_length(m: int) -> int:
 
 def acf_significance(series, lag_lo: int = ACF_LAG_LO,
                      lag_hi: int = ACF_LAG_HI) -> AcfSignificance:
-    """Count autocorrelations in [lag_lo, lag_hi] beyond the 1.96/sqrt(n) band."""
+    """Count autocorrelations in [lag_lo, lag_hi] beyond the 1.96/sqrt(n) band.
+    A non-finite value raises ValueError naming its row."""
     series = np.asarray(series, dtype=float).reshape(-1, 1)
+    _check_finite(series, (0,))
     count = int(_acf_counts(series, lag_lo, lag_hi)[0])
     return AcfSignificance(count, count >= 1)
 
@@ -274,10 +288,12 @@ def subject_diagnostics(subject: SubjectSeries,
     """(column label, Hurst exponent, significant-ACF count) per coordinate.
 
     A constant column raises ZeroVarianceError naming the subject and column; a
-    series too short or a lag range it cannot hold, ValueError naming the subject.
+    non-finite value, ValueError naming the subject, row and column; a series
+    too short or a lag range it cannot hold, ValueError naming the subject.
     """
     data = subject.data
     try:
+        _check_finite(data, subject.labels)
         hurst = _hurst_columns(data)
         counts = _acf_counts(data, lag_lo, min(lag_hi, data.shape[0] - 1))
     except ZeroVarianceError as exc:

@@ -11,13 +11,15 @@ wrap-around dependence is negligible for N >> n (the default is N = n^2).
 
 The innovations are drawn in chunks of _CHUNK_ROWS rows of E, each written
 straight into one feature-major (d, N) buffer, so the draw never holds the
-whole stream twice.  A built-in spec then convolves that buffer in place, one
-channel per transform call, and writes the product with M^T straight into
-the output.  Both steps split their work in two halves, of the channels and
-then of the copies; given an executor, one half is queued on it while the
-calling thread runs the other, and a half it has not started by then is taken
-back.  Every half computes the same bits as the whole, so the paths do not
-depend on which thread ran what.
+whole stream twice.  A built-in spec then convolves that buffer in place, in
+multi-row transform calls of as many channels as fit _TRANSFORM_BYTES, and
+writes the product with M^T into the output one block of time points at a
+time, through a small (p, cols) buffer.  Both steps split their work in two
+halves, of the channels and then of the copies; given an executor, one half
+is queued on it while the calling thread runs the other, and a half it has
+not started by then is taken back.  Every half and every block computes the
+same bits as the whole, so the paths do not depend on which thread ran what
+or on the block sizes.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ from .model import CoefficientSpec, _check_budget, decay_sequence, template
 
 # Estimated peak bytes of a built-in spec: 20 per N*d element and 36 per lag,
 # fitted to peak-RSS growth, which unlike tracemalloc sees pocketfft's scratch.
-# The (d, N) innovations live throughout, beside the output or beside the
-# decay's transform (8 B per lag) and each running transform call's spectrum
-# and FFT scratch (24 B per lag; two calls run at once with a helper and d >= 2).
+# The (d, N) innovations live throughout: first beside the decay's transform
+# (8 B per lag) and each running transform call's spectra and FFT scratch (24 B
+# per lag for one channel; two calls run at once with a helper and d >= 2),
+# then beside the output and the template buffers.  Below N = 65 536 a call
+# holds up to _TRANSFORM_BYTES of spectra, d channels' in all at most: about
+# the 8 B per element that the output takes later.
 # At N 10^6 and 4*10^6, RSS per element reads 40 B at d = 1, 36 at d = 2 with a
 # helper (24 without), 22 at d = 4 and 14-18 at d = 10, against estimates of 56,
 # 38, 29 and 23.6.  A custom spec takes 14 per lag and entry of (p + 1) x (d + 1):
@@ -47,6 +52,10 @@ from .model import CoefficientSpec, _check_budget, decay_sequence, template
 _BYTES_PER_ELEMENT = 20
 _BYTES_PER_LAG = 36
 _CUSTOM_BYTES_PER_ELEMENT = 14
+# Bytes of one transform call's spectra and of one template block's (p, cols)
+# buffer: blocks that stay in cache.
+_TRANSFORM_BYTES = 1 << 20
+_TEMPLATE_BYTES = 1 << 18
 # Rows of E per standard_normal call: a chunk and its transpose stay in cache.
 _CHUNK_ROWS = 1 << 13
 
@@ -87,8 +96,9 @@ class SimulationPlan:
 
     @property
     def peak_bytes(self) -> int:
-        """Estimated peak bytes of simulating this plan, beside the coefficients a
-        custom spec already holds (see _CUSTOM_BYTES_PER_ELEMENT)."""
+        """Estimated peak bytes of simulating this plan, the spectra each running
+        transform call holds included (see _BYTES_PER_ELEMENT), beside the
+        coefficients a custom spec already holds (see _CUSTOM_BYTES_PER_ELEMENT)."""
         p, d, N = self.spec.p, self.spec.d, self.N
         if self.spec.separable:
             return _BYTES_PER_ELEMENT * N * d + _BYTES_PER_LAG * N
@@ -157,23 +167,37 @@ def _innovations(rng: np.random.Generator, N: int, d: int) -> np.ndarray:
 
 def _convolve(innov: np.ndarray, kernel_fft: np.ndarray, lo: int, hi: int) -> None:
     """Circularly convolve channels lo:hi of `innov`, in place, with the kernel
-    whose rfft is `kernel_fft`, one channel per transform call: a call on two
-    rows holds their spectra and over twice the FFT scratch at once, and is no
-    faster once a channel outgrows the cache."""
-    spectrum = np.empty(len(kernel_fft), dtype=complex)
-    for row in innov[lo:hi]:
-        np.fft.rfft(row, out=spectrum)
-        spectrum *= kernel_fft
-        np.fft.irfft(spectrum, n=len(row), out=row)
+    whose rfft is `kernel_fft`, in blocks of as many channels as their spectra
+    fit in _TRANSFORM_BYTES, one multi-row transform call per block: the calls
+    are fewer and cheaper per row, and a channel whose spectrum is larger still
+    goes alone."""
+    rows = max(1, _TRANSFORM_BYTES // kernel_fft.nbytes)
+    spectra = np.empty((min(rows, hi - lo), len(kernel_fft)), dtype=complex)
+    for start in range(lo, hi, rows):
+        block = innov[start:min(start + rows, hi)]
+        spectrum = spectra[:len(block)]
+        np.fft.rfft(block, out=spectrum)
+        for row in spectrum:  # a broadcast product of a small block buffers a copy
+            row *= kernel_fft
+        np.fft.irfft(spectrum, n=block.shape[1], out=block)
 
 
 def _apply_template(scalar: np.ndarray, mat: np.ndarray, out: np.ndarray, n: int,
                     lo: int, hi: int) -> None:
     """out[lo:hi] = the (n, p) paths of copies lo:hi: the convolved channels'
-    rows lo*n:hi*n times mat^T.  einsum, not @: the draws stay independent of
-    the BLAS build."""
-    np.einsum("km,jk->mj", scalar[:, lo * n:hi * n], mat,
-              out=out[lo:hi].reshape((hi - lo) * n, -1))
+    rows lo*n:hi*n times mat^T, one block of time points at a time into a
+    (p, cols) buffer whose transpose is copied into the output rows.  einsum,
+    not @: the draws stay independent of the BLAS build."""
+    channels = scalar[:, lo * n:hi * n]
+    paths = out[lo:hi].reshape(channels.shape[1], -1)
+    # an eighth of the channels' bytes at most: both halves' buffers fit in the
+    # 4 B per element that peak_bytes holds beyond the channels and the output
+    cols = max(1, min(_TEMPLATE_BYTES, scalar.nbytes // 8) // (8 * len(mat)))
+    buf = np.empty((len(mat), min(cols, len(paths))))
+    for t in range(0, len(paths), cols):
+        block = buf[:, :len(paths) - t]
+        np.einsum("jk,km->jm", mat, channels[:, t:t + block.shape[1]], out=block)
+        paths[t:t + block.shape[1]] = block.T
 
 
 def simulate_multidimensional(plan: SimulationPlan,

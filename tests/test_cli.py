@@ -61,6 +61,17 @@ def test_metrics_subcommand(tmp_path):
     assert (report["n1"], report["n2"]) == (3, 3)
 
 
+def test_metrics_subcommand_reads_a_byte_order_mark_as_no_value(tmp_path, capsys):
+    values = "1.5\n2.5\n-3\n"
+    plain, bom, b = tmp_path / "plain.txt", tmp_path / "bom.txt", tmp_path / "b.txt"
+    plain.write_text(values, encoding="utf-8")
+    bom.write_text(values, encoding="utf-8-sig")
+    b.write_text("2.0\n0.5\n", encoding="utf-8-sig")
+    with_bom = console(capsys, "metrics", "--a", bom, "--b", b)
+    assert with_bom[0] == 0
+    assert with_bom == console(capsys, "metrics", "--a", plain, "--b", b)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_metrics_subcommand_rejects_non_finite_values(tmp_path, capsys, bad):
     a = tmp_path / "a.txt"

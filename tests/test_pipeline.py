@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -172,6 +173,15 @@ def test_ingest_rejects_non_finite(tmp_path, cell):
     path.write_text(f"a,b\n1,2\n\n3,{cell}\n")
     with pytest.raises(ValueError, match="row 3, column 'b'.*non-finite"):
         ingest(path)
+
+
+def test_ingest_reads_a_byte_order_mark_as_no_label(tmp_path):
+    text = "a,b\n1,2\n3,5\n4,4\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    plain, bom = ingest(tmp_path / "plain.csv"), ingest(tmp_path / "bom.csv")
+    assert bom.labels == plain.labels == ("a", "b")
+    assert np.array_equal(bom.data, plain.data)
 
 
 # --- Hurst exponent --------------------------------------------------------------
@@ -422,6 +432,20 @@ def test_diagnostics_value_errors_name_the_subject(n, lag_lo, message):
     subject = SubjectSeries("subj07", X - X.mean(axis=0), ("left", "mid", "right"))
     with pytest.raises(ValueError, match=rf"^subject 'subj07': {message}$"):
         subject_diagnostics(subject, lag_lo=lag_lo)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_diagnostics_name_the_row_and_column_of_a_non_finite_value(bad):
+    X = np.random.default_rng(4).standard_normal((200, 3))
+    X[57, 1] = bad
+    subject = SubjectSeries("subj07", X, ("left", "mid", "right"))
+    where = re.escape(f"row 57, column 'mid': non-finite value {bad}")
+    with pytest.raises(ValueError, match=f"^subject 'subj07': {where}$"):
+        subject_diagnostics(subject)
+    for diagnostic in (hurst_exponent, acf_significance):
+        with pytest.raises(ValueError, match=re.escape(f"row 57, column 0: non-finite "
+                                                       f"value {bad}")):
+            diagnostic(X[:, 1])
 
 
 # --- subject graphs ---------------------------------------------------------------

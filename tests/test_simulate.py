@@ -118,8 +118,12 @@ def _one_shot_simulation(plan):
 
 
 CHUNK = simulate._CHUNK_ROWS
+# (p, cols) blocks of the template product at p = 4
+TEMPLATE_COLS = simulate._TEMPLATE_BYTES // (8 * 4)
 # (spec, n, N, copies): N below, at a multiple of and past a multiple of the
-# chunk; one channel; odd copy counts; truncation below and above N - 1
+# chunk; one channel; odd copy counts; truncation below and above N - 1; halves
+# of 3 and 4 channels at 2 per transform call, the last block of the first
+# half ragged; each half's one copy one row past a template block
 ONE_SHOT_CASES = {
     "toeplitz-below-a-chunk": (toeplitz_spec(2.0, 3, truncation=10**6), 16, 515, 20),
     "toeplitz-two-chunks-cut": (toeplitz_spec(0.9, 5, truncation=300), 128, 2 * CHUNK, 127),
@@ -129,6 +133,9 @@ ONE_SHOT_CASES = {
     "one-copy": (banded_spec(2.0, 4, bandwidth=1, truncation=40), 64, 4096, 1),
     "custom-cut": (_mixing_spec(3, 4, truncation=600), 40, CHUNK + 100, 25),
     "custom-past-n": (_mixing_spec(2, 1, truncation=3000), 30, 1000, 33),
+    "transform-blocks-ragged": (toeplitz_spec(2.0, 7, truncation=10**6), 250, 62_500, 9),
+    "template-one-past-a-block": (banded_spec(1.5, 4, bandwidth=1, truncation=10**6),
+                                  TEMPLATE_COLS + 1, 2 * TEMPLATE_COLS + 5, 2),
 }
 
 
@@ -166,6 +173,16 @@ def test_matches_the_one_shot_simulator_byte_for_byte(monkeypatch, case, pool_st
         assert threads == []
 
 
+def test_the_block_edge_cases_sit_on_their_edges():
+    # 7 channels in halves of 3 and 4 at 2 per call (2 spectra of N/2 + 1
+    # complex values fit the budget, 3 do not); a half of one copy is one full
+    # template block and one more row
+    spectrum = 16 * (62_500 // 2 + 1)
+    assert 2 * spectrum <= simulate._TRANSFORM_BYTES < 3 * spectrum
+    spec, n, N, copies = ONE_SHOT_CASES["template-one-past-a-block"]
+    assert (spec.p, n * (copies // 2)) == (4, TEMPLATE_COLS + 1) and copies == 2
+
+
 def test_a_taken_back_half_leaves_no_buffer_behind():
     # a cancelled half waits in the pool's queue until the pool is free; it must
     # not keep the (d, N) innovations alive after the simulation returns
@@ -186,8 +203,10 @@ def test_a_taken_back_half_leaves_no_buffer_behind():
 
 @pytest.mark.parametrize("d, n, N, copies", [
     (1, 100, 20_000, 50), (2, 64, CHUNK, None), (2, 100, 20_000, 50), (4, 100, 20_011, 200),
-    (10, 64, CHUNK, None), (10, 250, 62_500, 200), (30, 50, 5000, 100)],
-    ids=["d1", "d2-one-chunk", "d2", "d4-all-lags", "d10-one-chunk", "d10", "d30"])
+    (10, 64, CHUNK, None), (10, 250, 62_500, 200), (30, 50, 5000, 100),
+    (7, 250, 62_500, None)],
+    ids=["d1", "d2-one-chunk", "d2", "d4-all-lags", "d10-one-chunk", "d10", "d30",
+         "d7-two-channels-per-call"])
 @pytest.mark.parametrize("pool_state", ["none", "free"])
 def test_peak_bytes_cover_the_traced_peak(d, n, N, copies, pool_state):
     plan = SimulationPlan(toeplitz_spec(2.0, d, truncation=N - 1), n, seed=1, N=N,
