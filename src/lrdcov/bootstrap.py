@@ -5,12 +5,14 @@ produce one max-deviation statistic per window; their empirical distribution
 approximates the law of the scaled estimation error.  Window i + 1 is window i
 plus the entering outer product minus the leaving one, so each window is a base
 Gram, recomputed every `REFRESH_INTERVAL` windows to bound floating-point
-drift, plus a running sum of these differences.  The sum runs through two
-reused tile buffers of about `_TILE_DOUBLES` doubles each, which stay in cache
-and bound memory whatever n is; each tile continues the sum of the one
-before it, so no statistic depends on the tile size.  For
-p^2 >= `_ROWWISE_MIN_ENTRIES` the sum is one add per window across all p^2
-entries, below it np.cumsum; both add in the same order.
+drift, plus a running sum of these differences, added in the same order in
+either of two layouts.  For p^2 >= `_ROWWISE_MIN_ENTRIES` the sum runs window
+by window, one add across all p^2 entries, through reused tiles of whole
+windows.  Below it, the sum runs entry by entry over the upper triangle (every
+window is symmetric): each product x_a x_b is formed once per time point, and
+np.cumsum sums each entry's differences along its own row.  Either way each
+buffer holds about `_TILE_DOUBLES` doubles, so it stays in cache and memory is
+bounded whatever n is, and no statistic depends on the tile or block size.
 Precision windows are the covariance windows of Y = X Omega_hat: for
 symmetric Omega_hat, Omega_hat (sum_window X_j X_j^T - l Sigma_hat) Omega_hat
 = sum_window Y_j Y_j^T - l Y^T Y / n.
@@ -31,7 +33,7 @@ from .model import theoretical_rates
 
 REFRESH_INTERVAL = 1024
 _TILE_DOUBLES = 2**16  # 512 KB per tile buffer, so both stay in L2 cache
-_ROWWISE_MIN_ENTRIES = 400  # p^2 from which a per-window add beats np.cumsum
+_ROWWISE_MIN_ENTRIES = 400  # p^2 from which a per-window add beats a cumsum per entry
 
 
 @dataclass(frozen=True)
@@ -152,15 +154,24 @@ def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
     if not 1 <= l <= n:
         raise ValueError(f"block length {l} outside [1, {n}]")
     target = l * (X.T @ X / n)
-    count = n - l + 1
-    vals = np.empty(count)
-    chunk = min(REFRESH_INTERVAL, count)
+    vals = np.empty(n - l + 1)
+    if p * p >= _ROWWISE_MIN_ENTRIES:
+        _window_major(X, l, target, vals)
+    else:
+        _entry_major(X, l, target, vals)
+    return vals / math.sqrt(l)
+
+
+def _window_major(X, l, target, vals):
+    """Fill vals with the window maxima, running the sum one p x p window at
+    a time through tiles of whole windows."""
+    p = X.shape[1]
+    chunk = min(REFRESH_INTERVAL, vals.size)
     tile = min(chunk, max(1, _TILE_DOUBLES // (p * p)))
     steps_buf, leaving_buf = np.empty((tile, p, p)), np.empty((tile, p, p))
     running = np.empty((p, p))
-    rowwise = p * p >= _ROWWISE_MIN_ENTRIES
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
+    for start in range(0, vals.size, chunk):
+        stop = min(start + chunk, vals.size)
         first = X[start:start + l]
         base = first.T @ first
         vals[start] = np.abs(base - target).max()
@@ -175,16 +186,58 @@ def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
                                  out=leaving_buf[:hi - lo])
             if lo > start + 1:
                 steps[0] += running
-            if rowwise:
-                for k in range(1, hi - lo):
-                    np.add(steps[k - 1], steps[k], out=steps[k])
-            else:
-                np.cumsum(steps, axis=0, out=steps)
+            for k in range(1, hi - lo):
+                np.add(steps[k - 1], steps[k], out=steps[k])
             np.copyto(running, steps[-1])
             steps += base
             steps -= target
             vals[lo:hi] = np.abs(steps, out=steps).max(axis=(1, 2))
-    return vals / math.sqrt(l)
+
+
+def _entry_major(X, l, target, vals):
+    """Fill vals with the window maxima, one running sum along time per
+    upper-triangle entry (a, b), a <= b, each product x_a x_b formed once per
+    time point.  The triangle holds every maximum because base and target are
+    exactly symmetric: numpy forms A.T @ A through syrk, or in its own loop
+    from commuted products."""
+    p = X.shape[1]
+    chunk = min(REFRESH_INTERVAL, vals.size)
+    # the m windows after a chunk's first leave its rows 0..m-1 and take in its
+    # rows l..l+m-1: seg holds the leaving rows transposed, then the entering
+    # rows not among them, so that entering row k sits at column shift + k
+    width = min(l, chunk - 1) + chunk - 1
+    size = max(1, _TILE_DOUBLES // max(width, 1))  # entries per block
+    flat = np.array([a * p + b for a in range(p) for b in range(a, p)])
+    goal = np.take(target, flat)[:, None]
+    seg = np.empty((p, width))
+    prod_buf = np.empty((min(size, flat.size), width))
+    steps_buf = np.empty((min(size, flat.size), chunk - 1))
+    for start in range(0, vals.size, chunk):
+        stop = min(start + chunk, vals.size)
+        first = X[start:start + l]
+        base = first.T @ first
+        vals[start] = np.abs(base - target).max()
+        m = stop - start - 1
+        shift = min(l, m)
+        np.copyto(seg[:, :m], X[start:start + m].T)
+        np.copyto(seg[:, m:shift + m], X[start + l + m - shift:start + l + m].T)
+        origin = np.take(base, flat)[:, None]
+        out = vals[start + 1:stop]
+        out.fill(0.0)
+        for e0 in range(0, flat.size, size):
+            e1 = min(e0 + size, flat.size)
+            prod = prod_buf[:e1 - e0, :shift + m]
+            for a in range(p):
+                row = a * p - a * (a + 1) // 2  # entry (a, b) is number row + b
+                k0, k1 = max(e0, row + a), min(e1, row + p)
+                if k0 < k1:
+                    np.multiply(seg[a, :shift + m], seg[k0 - row:k1 - row, :shift + m],
+                                out=prod[k0 - e0:k1 - e0])
+            steps = np.subtract(prod[:, shift:], prod[:, :m], out=steps_buf[:e1 - e0, :m])
+            np.cumsum(steps, axis=1, out=steps)
+            steps += origin[e0:e1]
+            steps -= goal[e0:e1]
+            np.maximum(out, np.abs(steps, out=steps).max(axis=0), out=out)
 
 
 def covariance_blocks(X: np.ndarray, l: int) -> BootstrapDistribution:

@@ -158,11 +158,13 @@ def _hurst_columns(X: np.ndarray) -> np.ndarray:
         blocks = X[:m * w].reshape(m, w, p).transpose(1, 2, 0).copy().reshape(w, p * m)
         # raw values, not the spread: axis-0 sums add row after row, so a constant
         # window's mean can miss its value and leave a spread of about 1e-17
-        varies = blocks.max(axis=0) > blocks.min(axis=0)
+        high, low = _column_extremes(blocks)
+        varies = high > low
         blocks -= blocks.mean(axis=0)
         spread = np.sqrt(np.einsum("tj,tj->j", blocks, blocks) / w)
         np.cumsum(blocks, axis=0, out=blocks)
-        ranges = blocks.max(axis=0) - blocks.min(axis=0)
+        high, low = _column_extremes(blocks)
+        ranges = high - low
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN: no varying window
             ratios = np.where(varies, ranges / spread, 0.0).reshape(p, m)
             log_rs[:, s] = np.log(ratios.sum(axis=-1) / varies.reshape(p, m).sum(axis=-1))
@@ -176,6 +178,19 @@ def _hurst_columns(X: np.ndarray) -> np.ndarray:
     dx = fitted * (dx - dx.sum(axis=-1, keepdims=True) / count)
     y = np.where(fitted, log_rs, 0.0)
     return np.clip((dx * y).sum(axis=-1) / (dx * dx).sum(axis=-1), 0.0, 1.0)
+
+
+def _column_extremes(blocks: np.ndarray):
+    """Max and min of each column of a (w, k) array.  A block taller than it
+    is wide is folded into about sqrt(w) long rows first, so that the
+    reductions do not pay a per-row cost w times; a max is exact in any order."""
+    w, k = blocks.shape
+    if k >= w:
+        return blocks.max(axis=0), blocks.min(axis=0)
+    group = 1 << (w.bit_length() // 2)  # w is a power of two
+    folded = blocks.reshape(w // group, group * k)
+    return (folded.max(axis=0).reshape(group, k).max(axis=0),
+            folded.min(axis=0).reshape(group, k).min(axis=0))
 
 
 def hurst_exponent(series) -> float:

@@ -224,6 +224,44 @@ def test_window_memory_bounded_by_tiles():
     assert peak <= tile_bytes + 2**18
 
 
+@pytest.mark.parametrize("p, entries", [(3, 1), (3, 2), (3, 5), (5, 1), (5, 2), (5, 14)])
+def test_any_entry_block_matches_chunked_reference(monkeypatch, p, entries):
+    # entry-major blocks of 1, 2 and q - 1 of the q = p(p + 1)/2 triangle
+    # entries, across a refresh boundary: rows of 60 + 1023 products each
+    l = 60
+    monkeypatch.setattr(bootstrap, "_TILE_DOUBLES", entries * (l + REFRESH_INTERVAL - 1))
+    X = np.random.default_rng(30 + p).standard_normal((1100, p))
+    assert np.array_equal(_window_maxima(X, l), chunked_reference(X, l))
+
+
+@pytest.mark.parametrize("case", ["last-chunk-one-window", "fortran", "strided-columns"])
+def test_entry_major_matches_chunked_reference(case):
+    # the triangle holds every maximum only because the window Gram and the
+    # target are exactly symmetric, also for inputs BLAS cannot take as they are
+    rng = np.random.default_rng(32)
+    l = 60
+    X = {"last-chunk-one-window": lambda: rng.standard_normal((REFRESH_INTERVAL + l, 5)),
+         "fortran": lambda: np.asfortranarray(rng.standard_normal((1100, 5))),
+         "strided-columns": lambda: rng.standard_normal((1100, 10))[:, ::2]}[case]()
+    assert np.array_equal(_window_maxima(X, l), chunked_reference(X, l))
+
+
+def test_entry_major_memory_bounded_by_chunk():
+    # n 8192, p 5, l 2048: 15 triangle entries and 1023 windows after each
+    # refresh. The buffers hold the 1023 leaving and 1023 entering rows
+    # transposed, their products and the running sums; a transpose of more
+    # than one chunk's rows (5 x 8192 doubles for the whole series) would not
+    # fit. A ufunc over strided rows may add two iteration buffers of 8192 doubles.
+    X = np.random.default_rng(33).standard_normal((8192, 5))
+    buffers = 8 * ((5 + 15) * 2046 + 15 * 1023)
+    outputs = 2 * 8 * (8192 - 2048 + 1)  # the maxima and their sorted copy
+    tracemalloc.start()
+    covariance_blocks(X, 2048)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= buffers + outputs + 2**17
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_blocks_reject_non_finite_cell(bad):
     X = np.random.default_rng(29).standard_normal((120, 3))

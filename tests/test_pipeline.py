@@ -16,7 +16,8 @@ from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
                     subject_diagnostics, subject_graph, toeplitz_spec,
                     write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
-from lrdcov.pipeline import _acf_counts, _CsvFields, _fft_length, _hurst_columns, _ranked
+from lrdcov.pipeline import (_acf_counts, _column_extremes, _CsvFields, _fft_length,
+                             _hurst_columns, _ranked)
 
 LABELS5 = tuple("abcde")
 
@@ -394,6 +395,15 @@ def test_stacked_kernels_are_column_independent(n):
     for j in range(X.shape[1]):
         assert hurst[j] == hurst_exponent(X[:, j])
         assert counts[j] == acf_significance(X[:, j], 21, 100).count
+
+
+# (512, 15) and (256, 35) are the R/S blocks at n 2000, p 5: folded before reducing
+@pytest.mark.parametrize("w, k", [(512, 15), (256, 35), (128, 75), (64, 155), (2048, 1), (8, 3)])
+def test_column_extremes_match_plain_reductions(w, k):
+    blocks = np.random.default_rng(w + k).standard_normal((w, k))
+    high, low = _column_extremes(blocks)
+    assert np.array_equal(high, blocks.max(axis=0))
+    assert np.array_equal(low, blocks.min(axis=0))
 
 
 # n + lag_hi is already 2^a 3^b at 33 + 3, 47 + 1, 64 + 32, 101 + 7, 120 + 96, 2000 + 187
