@@ -5,14 +5,13 @@ produce one max-deviation statistic per window; their empirical distribution
 approximates the law of the scaled estimation error.  Window i + 1 is window i
 plus the entering outer product minus the leaving one, so each window is a base
 Gram, recomputed every `REFRESH_INTERVAL` windows to bound floating-point
-drift, plus a running sum of these differences, added in the same order in
-either of two layouts.  For p^2 >= `_ROWWISE_MIN_ENTRIES` the sum runs window
-by window, one add across all p^2 entries, through reused tiles of whole
-windows.  Below it, the sum runs entry by entry over the upper triangle (every
-window is symmetric): each product x_a x_b is formed once per time point, and
-np.cumsum sums each entry's differences along its own row.  Either way each
-buffer holds about `_TILE_DOUBLES` doubles, so it stays in cache and memory is
-bounded whatever n is, and no statistic depends on the tile or block size.
+drift, plus a running sum of these differences.  The sum runs entry by entry
+over the upper triangle (every window is symmetric): each product x_a x_b is
+formed once per time point, and np.cumsum sums each entry's differences along
+its own row.  Memory is one refresh chunk's leaving and entering rows,
+transposed (p x at most 2 * REFRESH_INTERVAL - 2 doubles), plus blocks of
+entries whose products and sums hold about `_TILE_DOUBLES` doubles each, so it
+is bounded whatever n and l are, and no statistic depends on the block size.
 Precision windows are the covariance windows of Y = X Omega_hat: for
 symmetric Omega_hat, Omega_hat (sum_window X_j X_j^T - l Sigma_hat) Omega_hat
 = sum_window Y_j Y_j^T - l Y^T Y / n.
@@ -32,8 +31,7 @@ from .metrics import _quantile_exact
 from .model import theoretical_rates
 
 REFRESH_INTERVAL = 1024
-_TILE_DOUBLES = 2**16  # 512 KB per tile buffer, so both stay in L2 cache
-_ROWWISE_MIN_ENTRIES = 400  # p^2 from which a per-window add beats a cumsum per entry
+_TILE_DOUBLES = 2**16  # 512 KB per entry block buffer, so both stay in L2 cache
 
 
 @dataclass(frozen=True)
@@ -149,65 +147,25 @@ def _series(X: np.ndarray) -> np.ndarray:
 
 def _window_maxima(X: np.ndarray, l: int) -> np.ndarray:
     """l^{-1/2} |M_i - l Sigma_hat|_inf over all windows, in window order,
-    for a finite n x p matrix X."""
+    for a finite n x p matrix X.
+
+    One running sum along time per upper-triangle entry (a, b), a <= b, each
+    product x_a x_b formed once per time point.  The triangle holds every
+    maximum because base and target are exactly symmetric: numpy forms
+    A.T @ A through syrk, or in its own loop from commuted products."""
     n, p = X.shape
     if not 1 <= l <= n:
         raise ValueError(f"block length {l} outside [1, {n}]")
     target = l * (X.T @ X / n)
     vals = np.empty(n - l + 1)
-    if p * p >= _ROWWISE_MIN_ENTRIES:
-        _window_major(X, l, target, vals)
-    else:
-        _entry_major(X, l, target, vals)
-    return vals / math.sqrt(l)
-
-
-def _window_major(X, l, target, vals):
-    """Fill vals with the window maxima, running the sum one p x p window at
-    a time through tiles of whole windows."""
-    p = X.shape[1]
-    chunk = min(REFRESH_INTERVAL, vals.size)
-    tile = min(chunk, max(1, _TILE_DOUBLES // (p * p)))
-    steps_buf, leaving_buf = np.empty((tile, p, p)), np.empty((tile, p, p))
-    running = np.empty((p, p))
-    for start in range(0, vals.size, chunk):
-        stop = min(start + chunk, vals.size)
-        first = X[start:start + l]
-        base = first.T @ first
-        vals[start] = np.abs(base - target).max()
-        # window i = base + running sum over j <= i of (entering - leaving outer
-        # product); each tile continues the running sum of the one before it
-        for lo in range(start + 1, stop, tile):
-            hi = min(lo + tile, stop)
-            steps = steps_buf[:hi - lo]
-            enter, leave = X[lo + l - 1:hi + l - 1], X[lo - 1:hi - 1]
-            np.multiply(enter[:, :, None], enter[:, None, :], out=steps)
-            steps -= np.multiply(leave[:, :, None], leave[:, None, :],
-                                 out=leaving_buf[:hi - lo])
-            if lo > start + 1:
-                steps[0] += running
-            for k in range(1, hi - lo):
-                np.add(steps[k - 1], steps[k], out=steps[k])
-            np.copyto(running, steps[-1])
-            steps += base
-            steps -= target
-            vals[lo:hi] = np.abs(steps, out=steps).max(axis=(1, 2))
-
-
-def _entry_major(X, l, target, vals):
-    """Fill vals with the window maxima, one running sum along time per
-    upper-triangle entry (a, b), a <= b, each product x_a x_b formed once per
-    time point.  The triangle holds every maximum because base and target are
-    exactly symmetric: numpy forms A.T @ A through syrk, or in its own loop
-    from commuted products."""
-    p = X.shape[1]
     chunk = min(REFRESH_INTERVAL, vals.size)
     # the m windows after a chunk's first leave its rows 0..m-1 and take in its
     # rows l..l+m-1: seg holds the leaving rows transposed, then the entering
     # rows not among them, so that entering row k sits at column shift + k
     width = min(l, chunk - 1) + chunk - 1
     size = max(1, _TILE_DOUBLES // max(width, 1))  # entries per block
-    flat = np.array([a * p + b for a in range(p) for b in range(a, p)])
+    flat = np.flatnonzero(np.tri(p, dtype=bool).T)  # a * p + b, in row order
+    owner = (flat // p).tolist()  # row a of each entry, as Python ints
     goal = np.take(target, flat)[:, None]
     seg = np.empty((p, width))
     prod_buf = np.empty((min(size, flat.size), width))
@@ -227,17 +185,17 @@ def _entry_major(X, l, target, vals):
         for e0 in range(0, flat.size, size):
             e1 = min(e0 + size, flat.size)
             prod = prod_buf[:e1 - e0, :shift + m]
-            for a in range(p):
+            for a in range(owner[e0], owner[e1 - 1] + 1):
                 row = a * p - a * (a + 1) // 2  # entry (a, b) is number row + b
                 k0, k1 = max(e0, row + a), min(e1, row + p)
-                if k0 < k1:
-                    np.multiply(seg[a, :shift + m], seg[k0 - row:k1 - row, :shift + m],
-                                out=prod[k0 - e0:k1 - e0])
+                np.multiply(seg[a, :shift + m], seg[k0 - row:k1 - row, :shift + m],
+                            out=prod[k0 - e0:k1 - e0])
             steps = np.subtract(prod[:, shift:], prod[:, :m], out=steps_buf[:e1 - e0, :m])
             np.cumsum(steps, axis=1, out=steps)
             steps += origin[e0:e1]
             steps -= goal[e0:e1]
             np.maximum(out, np.abs(steps, out=steps).max(axis=0), out=out)
+    return vals / math.sqrt(l)
 
 
 def covariance_blocks(X: np.ndarray, l: int) -> BootstrapDistribution:

@@ -139,6 +139,9 @@ def _check_field(key: str, value, name: str) -> None:
                    or key == "seed" and v < 0 for v in (value if listed else [value]))):
         lead = "a non-empty list of " if empty else "a list of " * listed
         raise ValueError(f"{name} must be {lead}{forms}, got {value!r}")
+    unknown = [k for k in value if k not in ALL_TARGETS] if key == "targets" else []
+    if unknown:
+        raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,6 @@ class ExperimentConfig:
         for key in vars(self):
             _check_field(key, getattr(self, key), f"config key {key!r}")
         _parse_token(parse_structure, self.structure, "config key 'structure'", STRUCTURE_FORMS)
-        unknown = [k for k in self.targets if k not in ALL_TARGETS]
-        if unknown:
-            raise ValueError(f"unknown targets {unknown}; choose from {list(ALL_TARGETS)}")
 
 
 @dataclass(frozen=True)
@@ -356,9 +356,6 @@ def run_cell(spec: CoefficientSpec, n: int, *, replicates: int = 200,
     """
     for key, value in dict(n=n, targets=targets, replicates=replicates, seed=seed).items():
         _check_field(key, value, key)
-    for kind in targets:
-        if kind not in ALL_TARGETS:
-            raise ValueError(f"unknown target {kind!r}")
     start = time.perf_counter()
     p, beta = spec.p, spec.beta
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import (DefaultBlocks, confidence_region, precision_blocks,
                         resolve_block_length)
-from .errors import HighDimensionError, ZeroVarianceError
+from .errors import HighDimensionError, NearSingularError, ZeroVarianceError
 from .estimate import sample_covariance, sample_precision
 
 ACF_LAG_LO = 21
@@ -247,13 +247,23 @@ def acf_significance(series, lag_lo: int = ACF_LAG_LO,
 def subject_graph(subject: SubjectSeries, alpha: float,
                   block_rule=DefaultBlocks()) -> EdgeSet:
     """Edges whose precision entry has |Omega_hat_jk| above the simultaneous
-    half width n^{-1/2} q_hat(1 - alpha); the margin is kept as a score."""
+    half width n^{-1/2} q_hat(1 - alpha); the margin is kept as a score.
+
+    A non-finite value, a near-singular covariance or a series too short for
+    the block rule raises its own error type, naming the subject."""
     data = subject.data
     n, p = data.shape
     if p >= n:
-        raise HighDimensionError(f"subject {subject.id}: p = {p} >= n = {n}")
-    omega_hat = sample_precision(sample_covariance(data))
-    l = resolve_block_length(block_rule, n, p)
+        raise HighDimensionError(f"subject {subject.id!r}: p = {p} >= n = {n}")
+    try:
+        _check_finite(data, subject.labels)
+        omega_hat = sample_precision(sample_covariance(data))
+        l = resolve_block_length(block_rule, n, p)
+    except NearSingularError as exc:
+        raise NearSingularError(f"subject {subject.id!r}: {exc}", exc.condition_estimate,
+                                exc.smallest_eigenvalue) from exc
+    except ValueError as exc:
+        raise ValueError(f"subject {subject.id!r}: {exc}") from exc
     dist = precision_blocks(data, l, omega=omega_hat)
     half_width = confidence_region(omega_hat, dist, n, alpha).half_width
     rows, cols = np.triu_indices(p, 1)

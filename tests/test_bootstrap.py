@@ -168,8 +168,8 @@ def test_precision_rejects_nonsymmetric_omega():
 
 
 def test_window_memory_bounded_by_chunk():
-    # Buffers hold two tiles of p x p windows; only the per-window outputs
-    # (a few doubles each) may grow with n.
+    # Buffers hold one refresh chunk's rows and one block of triangle entries;
+    # only the per-window outputs (a few doubles each) may grow with n.
     rng = np.random.default_rng(24)
     peaks = {}
     for n in (2048, 8192):
@@ -182,9 +182,9 @@ def test_window_memory_bounded_by_chunk():
 
 
 @pytest.mark.parametrize("n, p, l", [
-    (1100, 20, 60),    # 1041 windows: a refresh at 1024, tiles of 163 windows
-    (1100, 3, 60),     # cumsum path, one tile per refresh chunk
-    (300, 50, 17),     # tiles of 26 windows, last tile of 23
+    (1100, 20, 60),    # 1041 windows: a refresh at 1024, blocks of 60 entries
+    (1100, 3, 60),     # one block per refresh chunk
+    (300, 50, 17),     # blocks of 218 entries, last block of 185
     (200, 1, 1), (200, 1, 200), (40, 1, 7),
     (60, 4, 1), (60, 4, 60), (80, 30, 80), (80, 30, 1),
 ])
@@ -193,28 +193,10 @@ def test_tiled_kernel_matches_chunked_reference(n, p, l):
     assert np.array_equal(_window_maxima(X, l), chunked_reference(X, l))
 
 
-@pytest.mark.parametrize("tile_doubles", [1, 2 * 400, 3 * 400 + 1, 1023 * 400])
-def test_any_tile_size_matches_chunked_reference(monkeypatch, tile_doubles):
-    # tiles of 1, 2, 3 and 1023 windows of 20 x 20, across a refresh boundary
-    monkeypatch.setattr(bootstrap, "_TILE_DOUBLES", tile_doubles)
-    X = np.random.default_rng(26).standard_normal((1100, 20))
-    assert np.array_equal(_window_maxima(X, 60), chunked_reference(X, 60))
-
-
-@pytest.mark.parametrize("p", [3, 20])
-def test_running_sum_paths_agree(monkeypatch, p):
-    X = np.random.default_rng(27).standard_normal((1100, p))
-    results = []
-    for threshold in (0, 10**9):  # row-wise adds, then np.cumsum
-        monkeypatch.setattr(bootstrap, "_ROWWISE_MIN_ENTRIES", threshold)
-        results.append(_window_maxima(X, 60))
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[0], chunked_reference(X, 60))
-
-
 def test_window_memory_bounded_by_tiles():
-    # n 120, p 50: 97 windows in one refresh chunk; two tile buffers of 26
-    # windows (1.04 MB) instead of two chunk buffers of 97 and 96 (3.9 MB)
+    # n 120, p 50: 97 windows in one refresh chunk; blocks of 546 of the 1275
+    # triangle entries hold 120 products and 96 sums each (0.94 MB) instead of
+    # all 1275 entries (2.2 MB), within the bound of two 2**16-double buffers
     X = np.random.default_rng(28).standard_normal((120, 50))
     tile_bytes = 2 * (bootstrap._TILE_DOUBLES // 2500) * 2500 * 8
     tracemalloc.start()
@@ -224,10 +206,14 @@ def test_window_memory_bounded_by_tiles():
     assert peak <= tile_bytes + 2**18
 
 
-@pytest.mark.parametrize("p, entries", [(3, 1), (3, 2), (3, 5), (5, 1), (5, 2), (5, 14)])
+@pytest.mark.parametrize("p, entries", [
+    (3, 1), (3, 2), (3, 5), (5, 1), (5, 2), (5, 14),
+    (20, 1), (20, 2), (20, 21), (20, 209), (50, 1), (50, 2), (50, 51), (50, 1274),
+])
 def test_any_entry_block_matches_chunked_reference(monkeypatch, p, entries):
-    # entry-major blocks of 1, 2 and q - 1 of the q = p(p + 1)/2 triangle
-    # entries, across a refresh boundary: rows of 60 + 1023 products each
+    # blocks of 1, 2, one row's length + 1 and q - 1 of the q = p(p + 1)/2
+    # triangle entries, most of them starting mid-row, across a refresh
+    # boundary: rows of 60 + 1023 products each
     l = 60
     monkeypatch.setattr(bootstrap, "_TILE_DOUBLES", entries * (l + REFRESH_INTERVAL - 1))
     X = np.random.default_rng(30 + p).standard_normal((1100, p))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
-                    HighDimensionError, SimulationPlan, SubjectSeries,
-                    ZeroVarianceError, acf_significance, aggregate_group,
+                    HighDimensionError, NearSingularError, SimulationPlan,
+                    SubjectSeries, ZeroVarianceError, acf_significance, aggregate_group,
                     banded_spec, hurst_exponent, ingest, precision_blocks,
                     quantile, resolve_block_length, sample_covariance,
                     sample_precision, simulate_multidimensional,
@@ -516,8 +516,32 @@ def test_subject_graph_edges_match_double_loop():
 
 def test_subject_graph_requires_low_dimension():
     X = np.random.default_rng(6).standard_normal((4, 6))
-    with pytest.raises(HighDimensionError):
+    with pytest.raises(HighDimensionError, match=r"^subject 'test': p = 6 >= n = 4$"):
         subject_graph(make_subject(X), alpha=0.1)
+
+
+def test_subject_graph_names_the_subject_of_a_short_series():
+    X = np.random.default_rng(6).standard_normal((7, 2))
+    with pytest.raises(ValueError, match=r"^subject 's1': block-length rule requires n >= 8"):
+        subject_graph(SubjectSeries("s1", X, ("a", "b")), alpha=0.1)
+
+
+def test_subject_graph_names_the_subject_of_a_singular_covariance():
+    X = np.random.default_rng(6).standard_normal((100, 3))
+    X[:, 2] = X[:, 0]
+    with pytest.raises(NearSingularError) as plain:
+        sample_precision(sample_covariance(X))
+    with pytest.raises(NearSingularError, match=r"^subject 's1': smallest eigenvalue") as named:
+        subject_graph(SubjectSeries("s1", X, ("a", "b", "c")), alpha=0.1)
+    assert named.value.condition_estimate == plain.value.condition_estimate
+    assert named.value.smallest_eigenvalue == plain.value.smallest_eigenvalue
+
+
+def test_subject_graph_names_the_subject_row_and_column_of_a_nan():
+    X = np.random.default_rng(6).standard_normal((100, 3))
+    X[40, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^subject 's1': row 40, column 'b': non-finite"):
+        subject_graph(SubjectSeries("s1", X, ("a", "b", "c")), alpha=0.1)
 
 
 def test_subject_graph_infinite_quantile_gives_empty(monkeypatch):
