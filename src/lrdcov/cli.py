@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,7 +59,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--copies {args.copies} needs --N of at least {args.copies * args.n}")
     plan = SimulationPlan(build(args.beta, args.p, N), args.n, seed=args.seed, N=N,
                           copies_requested=args.copies)
-    batch = simulate_multidimensional(plan)
+    with ThreadPoolExecutor(1, "lrdcov-helper") as pool:  # same bytes as with no pool
+        batch = simulate_multidimensional(plan, pool)
     save_batch(batch, args.out)
     print(f"wrote {batch.copies} copies of a {args.n} x {args.p} path to {args.out}")
     return 0
@@ -72,14 +74,17 @@ def _cmd_bootstrap_ci(args) -> int:
         raise ValueError(f"--block-rule {args.block_rule!r} needs --beta")
     if args.beta is not None and not np.isfinite(args.beta):
         raise ValueError(f"--beta must be finite, got {args.beta}")
-    l = resolve_block_length(rule, n, p, args.beta)
-    est = sample_covariance(subject.data)
-    if args.kind == "prec":
-        center = sample_precision(est)
-        dist = precision_blocks(subject.data, l, omega=center)
-    else:
-        center = est.sigma_hat
-        dist = covariance_blocks(subject.data, l)
+    try:  # data the estimators cannot use: name the file, as subject_graph names the subject
+        l = resolve_block_length(rule, n, p, args.beta)
+        est = sample_covariance(subject.data)
+        if args.kind == "prec":
+            center = sample_precision(est)
+            dist = precision_blocks(subject.data, l, omega=center)
+        else:
+            center = est.sigma_hat
+            dist = covariance_blocks(subject.data, l)
+    except (LrdcovError, ValueError) as exc:
+        raise ValueError(f"{args.data}: {exc}") from exc
     region = confidence_region(center, dist, n, args.alpha)  # checks alpha first
     q_hat = quantile(dist, 1.0 - args.alpha)
     print(json.dumps({

@@ -33,12 +33,14 @@ calling thread's peak is the simulation's, or the paths beside both copy
 blocks' (copies, p, p) stacks if larger.  Each estimate is fitted to peak RSS
 and meets the budget in one check, model._check_budget: the calling thread's
 raises MemoryBudgetError before the cell simulates, the lane's skips its
-targets.  The helper also takes half of the work three times, each time in a
-half queued on it while the calling thread runs the other (simulate._in_halves):
-the simulation's transforms, its template product, and the per-copy statistics,
-in two blocks of copies whose stacks die with the block.  A half the helper has
-not started by then, because the reference lane still holds it, is taken back
-and run inline.  Each lane draws from its own seed, every half computes what
+targets.  The helper then draws the tail of the simulation's innovation stream
+when the calling thread has rows left to give it (simulate._innovations), and
+takes half of the work three times, each time in a half queued on it while the
+calling thread runs the other (simulate._in_halves): the simulation's
+transforms, its template product, and the per-copy statistics, in two blocks of
+copies whose stacks die with the block.  A tail or a half the helper has not
+started by then, because the reference lane still holds it, is taken back and
+run inline.  Each lane draws from its own seed, every half computes what
 the whole would for its channels or copies and scoring stays on the calling
 thread, so the outputs do not depend on which thread ran what.  One DEBUG
 record per cell, under the "lrdcov.harness" logger, gives the wall time of each

@@ -11,22 +11,34 @@ wrap-around dependence is negligible for N >> n (the default is N = n^2).
 
 The innovations are drawn in chunks of _CHUNK_ROWS rows of E, each written
 straight into one feature-major (d, N) buffer, so the draw never holds the
-whole stream twice.  A built-in spec then convolves that buffer in place, in
-multi-row transform calls of as many channels as fit _TRANSFORM_BYTES, and
-writes the product with M^T into the output one block of time points at a
-time, through a small (p, cols) buffer.  Both steps split their work in two
-halves, of the channels and then of the copies; given an executor, one half
-is queued on it while the calling thread runs the other, and a half it has
-not started by then is taken back.  Every half and every block computes the
-same bits as the whole, so the paths do not depend on which thread ran what
-or on the block sizes.
+whole stream twice.  Given an executor, a built-in spec's stream is drawn by
+two threads: a tail job on the executor draws the back half of the rows the
+calling thread has not begun, from a copy of the bit generator advanced past
+the rows before them, and the calling thread finds where the stream's own
+normals rejoin that draw (numpy's ziggurat reads one or more raw draws per
+normal; Marsaglia & Tsang 2000) and copies the tail from there, or draws it
+itself: the stream is the same either way (see _innovations).  One DEBUG
+record per built-in simulation, under the "lrdcov.simulate" logger, names the
+rows the helper drew or why it drew none.
+
+A built-in spec then convolves the buffer in place, in multi-row transform
+calls of as many channels as fit _TRANSFORM_BYTES, and writes the product with
+M^T into the output one block of time points at a time, through a small
+(p, cols) buffer.  Both steps split their work in two halves, of the channels
+and then of the copies; given an executor, one half is queued on it while the
+calling thread runs the other, and a half it has not started by then is taken
+back.  Every half and every block computes the same bits as the whole, so the
+paths do not depend on which thread ran what or on the block sizes.
 """
 
 from __future__ import annotations
 
 import contextvars
+import logging
+import math
 import os
 import struct
+import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +56,8 @@ from .model import CoefficientSpec, _check_budget, decay_sequence, template
 # per lag for one channel; two calls run at once with a helper and d >= 2),
 # then beside the output and the template buffers.  Below N = 65 536 a call
 # holds up to _TRANSFORM_BYTES of spectra, d channels' in all at most: about
-# the 8 B per element that the output takes later.
+# the 8 B per element that the output takes later.  The helper's tail of the
+# stream, at most half its rows and a 3% slack, lives only during the draw.
 # At N 10^6 and 4*10^6, RSS per element reads 40 B at d = 1, 36 at d = 2 with a
 # helper (24 without), 22 at d = 4 and 14-18 at d = 10, against estimates of 56,
 # 38, 29 and 23.6.  A custom spec takes 14 per lag and entry of (p + 1) x (d + 1):
@@ -58,6 +71,10 @@ _TRANSFORM_BYTES = 1 << 20
 _TEMPLATE_BYTES = 1 << 18
 # Rows of E per standard_normal call: a chunk and its transpose stay in cache.
 _CHUNK_ROWS = 1 << 13
+# Normals of the stream the caller draws past its rows to find the helper's.
+_PROBE = 4
+
+_log = logging.getLogger(__name__)
 
 _MAGIC = b"LRDSIM1"
 _DERIVATION = ("PCG64(SeedSequence(seed)); innovations drawn once as "
@@ -144,25 +161,121 @@ def _in_halves(pool: Optional[Executor], fn: Callable[[int, int], object],
     return [first.result() if first else fn(0, half), second]
 
 
-def _innovations(rng: np.random.Generator, N: int, d: int) -> np.ndarray:
+class _Tail:
+    """The rows mid..N of a stream of N*d normals, drawn on a helper thread from a
+    copy of the stream's bit generator, and the caller's progress that the
+    helper claims them against, both read and written under `lock`."""
+
+    def __init__(self, state: Optional[dict], N: int, d: int):
+        self.lock = threading.Lock()
+        self.state, self.N, self.d = state, N, d
+        self.begun = 0  # the end of the chunk the caller draws now
+        self.mid = N    # where the caller stops: below N once the helper has claimed
+
+    def claim(self) -> int:
+        """Claim the back half of the rows the caller has not begun; returns mid."""
+        with self.lock:
+            self.mid = self.begun + (self.N - self.begun + 1) // 2
+            return self.mid
+
+    def draw(self) -> Optional[np.ndarray]:
+        """The normals from raw draw mid*d on: those of rows mid..N and _slack more,
+        or None when no row is left."""
+        mid = self.claim()
+        if mid == self.N:
+            return None
+        bitgen = np.random.PCG64()
+        bitgen.state = self.state
+        bitgen.advance(mid * self.d)
+        return np.random.Generator(bitgen).standard_normal(
+            (self.N - mid) * self.d + _slack(mid * self.d))
+
+
+def _slack(normals: int) -> int:
+    """Normals the helper draws past the tail's own, for the `normals` before it:
+    numpy's ziggurat reads 2.17-2.26% more raw draws than normals (10 seeds)."""
+    return math.ceil(0.03 * normals) + 8
+
+
+def _scatter(innov: np.ndarray, rows: np.ndarray, lo: int) -> None:
+    """Write stream rows lo..lo+len(rows) into their places in `innov`."""
+    hi = lo + len(rows)
+    innov[1:, lo:hi] = rows[:, :0:-1].T
+    if lo:
+        innov[0, lo - 1:hi - 1] = rows[:, 0]
+    else:  # stream row 0 feeds the last lag of channel 0
+        innov[0, :hi - 1], innov[0, -1] = rows[1:, 0], rows[0, 0]
+
+
+def _draw_rows(rng: np.random.Generator, innov: np.ndarray, chunk: np.ndarray, lo: int,
+               tail: _Tail) -> int:
+    """Draw stream rows from lo into `innov`, a chunk at a time, up to tail.mid;
+    returns where it stopped."""
+    while True:
+        with tail.lock:
+            hi = tail.begun = min(lo + len(chunk), tail.mid)
+        if hi == lo:
+            return lo
+        rows = chunk[:hi - lo]
+        rng.standard_normal(out=rows)
+        _scatter(innov, rows, lo)
+        lo = hi
+
+
+def _innovations(rng: np.random.Generator, N: int, d: int,
+                 pool: Optional[Executor] = None) -> tuple[np.ndarray, str]:
     """The (d, N) transpose of E, E[s, k] = stream[((s+1)*d - k) mod N*d] for the
-    stream of N*d standard normals `rng` draws next: innovation row 0 is the
-    stream's column 0 rolled by one, the others its columns d-1..1.  That map
-    fixes which normal feeds which lag, so a seed always draws the same paths;
-    the stream is drawn in chunks of _CHUNK_ROWS rows, the same values as one
-    call."""
+    stream of N*d standard normals the PCG64 generator `rng` draws next, and
+    which rows the helper drew.  Innovation row 0 is the stream's column 0
+    rolled by one, the others its columns d-1..1: that map fixes which normal
+    feeds which lag, so a seed always draws the same paths.  The stream is
+    drawn in chunks of _CHUNK_ROWS rows, the same values as one call.
+
+    Given a pool, a tail job queued on it claims, once started, rows mid..N,
+    the back half of those the caller has not begun, and draws them from a
+    copy of the bit generator advanced by mid*d raw draws.  Each normal reads
+    one or more raw draws, so the stream's normal mid*d starts at or after raw
+    draw mid*d: the copy starts at or before it, and from the first raw draw
+    on which both start a normal they draw the same values, which comes
+    within a few draws and, but for rare cases, before normal mid*d.  The job
+    draws _slack(mid*d) normals beyond the tail's; the caller stops at mid,
+    draws the next _PROBE normals, finds them in the job's draw and scatters
+    the job's normals from there.  When they are not found, or when the job
+    has not started by the time the caller has begun every row (it is then
+    cancelled), the caller draws the rest itself.  The stream is the same
+    either way, but `rng` is left at an unspecified point.  The job holds no
+    part of `innov`.
+    """
     innov = np.empty((d, N))
     chunk = np.empty((min(N, _CHUNK_ROWS), d))
-    for lo in range(0, N, _CHUNK_ROWS):
-        rows = chunk[:min(_CHUNK_ROWS, N - lo)]
-        rng.standard_normal(out=rows)
-        hi = lo + len(rows)
-        innov[1:, lo:hi] = rows[:, :0:-1].T
-        if lo:
-            innov[0, lo - 1:hi - 1] = rows[:, 0]
-        else:  # stream row 0 feeds the last lag of channel 0
-            innov[0, :hi - 1], innov[0, -1] = rows[1:, 0], rows[0, 0]
-    return innov
+    tail = _Tail(rng.bit_generator.state if pool else None, N, d)
+    job = pool.submit(tail.draw) if pool else None
+    try:
+        mid = _draw_rows(rng, innov, chunk, 0, tail)
+    except BaseException:
+        if job is not None:
+            job.cancel()
+        raise
+    if mid == N:
+        if job is None or job.cancel():
+            return innov, "no rows (no helper)" if job is None else "no rows (not started)"
+        job.result()  # a started job found every row begun: it returns at once
+        return innov, "no rows (nothing left)"
+    need = (N - mid) * d
+    saved = rng.bit_generator.state
+    probe = rng.standard_normal(min(_PROBE, need))
+    drawn = job.result()
+    for at in np.flatnonzero(drawn[:len(drawn) - need + 1] == probe[0]):
+        if np.array_equal(drawn[at:at + len(probe)], probe):
+            rows = drawn[at:at + need].reshape(N - mid, d)
+            for lo in range(0, N - mid, _CHUNK_ROWS):
+                _scatter(innov, rows[lo:lo + _CHUNK_ROWS], mid + lo)
+            return innov, f"rows {mid}..{N}"
+    del drawn, job  # the job's future holds its draw too
+    rng.bit_generator.state = saved
+    tail.mid = N
+    _draw_rows(rng, innov, chunk, mid, tail)
+    return innov, "no rows (no match)"
 
 
 def _convolve(innov: np.ndarray, kernel_fft: np.ndarray, lo: int, hi: int) -> None:
@@ -221,13 +334,14 @@ def simulate_multidimensional(plan: SimulationPlan,
     if spec.separable:
         # the decay's transform first: its lag-domain input dies before E is drawn
         decay_fft = np.fft.rfft(decay_sequence(spec, horizon + 1), n=N)
-        innov = _innovations(rng, N, d)
+        innov, drawn = _innovations(rng, N, d, pool)
+        _log.debug("N %d, d %d: the helper drew %s of the innovations", N, d, drawn)
         _in_halves(pool, partial(_convolve, innov, decay_fft), d)
         del decay_fft
         out = np.empty((copies, n, spec.p))
         _in_halves(pool, partial(_apply_template, innov, template(spec), out, n), copies)
     else:
-        innov_fft = np.fft.rfft(_innovations(rng, N, d))
+        innov_fft = np.fft.rfft(_innovations(rng, N, d)[0])
         coeff_fft = np.fft.rfft(spec.coeffs[:horizon + 1], n=N, axis=0)
         series = np.fft.irfft(np.einsum("wjk,kw->jw", coeff_fft, innov_fft), n=N)
         del coeff_fft, innov_fft

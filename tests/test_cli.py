@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import lrdcov
-from lrdcov import load_batch
+from lrdcov import (SimulationPlan, load_batch, save_batch, simulate_multidimensional,
+                    toeplitz_spec)
 from lrdcov.cli import run
 
 
@@ -45,6 +46,18 @@ def test_simulate_subcommand_writes_dump(tmp_path, capsys):
     assert batch.data.shape == (3, 32, 2)
     assert batch.master_seed == 7
     assert "3 copies" in stdout
+
+
+def test_simulate_subcommand_writes_the_bytes_of_a_run_with_no_helper(tmp_path, capsys):
+    # at N 62 500 the command's helper draws the tail of the innovation stream
+    out = tmp_path / "cli.lrdsim"
+    rc, _ = console(capsys, "simulate", "--beta", "2", "--n", "250", "--p", "10",
+                    "--copies", "200", "--seed", "7", "--out", out)
+    assert rc == 0
+    plan = SimulationPlan(toeplitz_spec(2.0, 10, truncation=62_500), 250, seed=7, N=62_500,
+                          copies_requested=200)
+    save_batch(simulate_multidimensional(plan), tmp_path / "serial.lrdsim")
+    assert out.read_bytes() == (tmp_path / "serial.lrdsim").read_bytes()
 
 
 def test_metrics_subcommand(tmp_path):
@@ -110,6 +123,22 @@ def test_bootstrap_ci_rejects_repeated_column_labels(tmp_path, capsys):
     code, stdout = console(capsys, "bootstrap-ci", "--data", path)
     assert (code, stdout) == (f"lrdcov: error: {path}: columns 1 and 2 share the label 'a'",
                               "")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("cov", "block-length rule requires n >= 8"),
+    ("prec", "smallest eigenvalue ")], ids=["7-rows", "equal-columns"])
+def test_bootstrap_ci_names_the_data_it_cannot_use(tmp_path, capsys, kind, message):
+    # 7 rows are too few for the default block rule; two equal columns have no precision
+    x = np.random.default_rng(6).standard_normal(7 if kind == "cov" else 50)
+    path = tmp_path / "subject.csv"
+    np.savetxt(path, np.c_[x, x if kind == "prec" else x[::-1]], delimiter=",",
+               header="a,b", comments="")
+    code, stdout = console(capsys, "bootstrap-ci", "--data", path, "--kind", kind)
+    assert stdout == "" and code.startswith(f"lrdcov: error: {path}: {message}")
+    assert "\n" not in code
+    done = run_module("bootstrap-ci", "--data", path, "--kind", kind)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", code + "\n")
 
 
 HUGE_B = "column 'b': values too large, the sum of squares after demeaning is not finite"

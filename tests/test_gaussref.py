@@ -162,6 +162,39 @@ def test_matrix_draws_do_not_depend_on_chunking(monkeypatch):
     assert np.array_equal(sample_max_abs(ref, 50, seed=2), whole)
 
 
+def _frozen_transform(ref, gauss):
+    """MatrixReference.transform as it was first written: S built (k, p, p)."""
+    sym = gauss + gauss.swapaxes(1, 2)
+    sym *= ref.scale / math.sqrt(2.0)
+    half = np.einsum("ij,kjl->kil", ref.factor, sym)
+    return np.einsum("kil,ml->kim", half, ref.factor)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 10, 13, 16, 17, 30, 31, 50, 100])
+def test_matrix_transform_keeps_the_bits_of_the_frozen_formula(p):
+    # a non-symmetric factor, and draw counts of one, odd and up to 200
+    rng = np.random.default_rng(p)
+    ref = MatrixReference(rng.standard_normal((p, p)), 1.3)
+    for take in (1, 2, 7, 33, 200):
+        if take * p ** 3 <= 2 * 10 ** 7:
+            gauss = rng.standard_normal((take, p, p))
+            assert np.array_equal(ref.transform(gauss), _frozen_transform(ref, gauss))
+
+
+@pytest.mark.parametrize("p, reps, per_chunk", [(3, 50, 7), (10, 200, 64), (30, 100, 33),
+                                                (50, 20, 3)])
+def test_matrix_draws_keep_the_bits_of_the_frozen_formula(monkeypatch, p, reps, per_chunk):
+    # sample_max_abs in chunks of per_chunk draws and in one chunk, against the
+    # frozen formula applied to the same normals
+    ref = MatrixReference(np.random.default_rng(p).standard_normal((p, p)), 0.7)
+    gauss = np.random.default_rng(np.random.SeedSequence(9)).standard_normal((reps, p, p))
+    want = np.abs(_frozen_transform(ref, gauss)).reshape(reps, -1).max(axis=1)
+    assert np.array_equal(sample_max_abs(ref, reps, seed=9), want)
+    monkeypatch.setattr(gaussref, "_CHUNK_ELEMENTS", per_chunk * p * p)
+    assert gaussref._draws_per_chunk(p * p, reps) == per_chunk
+    assert np.array_equal(sample_max_abs(ref, reps, seed=9), want)
+
+
 @pytest.mark.parametrize("cov", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
 def test_build_reference_rejects_a_non_square_matrix(cov):
     with pytest.raises(ValueError, match="covariance must be a square matrix"):

@@ -1,5 +1,7 @@
+import logging
 import math
 import struct
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -199,6 +201,151 @@ def test_a_taken_back_half_leaves_no_buffer_behind():
             release.set()
         assert blocker.result()
     assert held < batch.data.nbytes + 8 * plan.N  # the innovations would add 8 N d
+
+
+def _simulate_with_the_helper_freed(monkeypatch, caplog, plan, chunks):
+    """The paths of `plan` and its simulation record, with the helper busy
+    until the caller has drawn `chunks` chunks of the innovation stream; the
+    helper then claims its tail before the caller goes on."""
+    release, claimed = threading.Event(), threading.Event()
+    claim, scatter = simulate._Tail.claim, simulate._scatter
+    calls = []
+
+    def claiming(self):
+        try:
+            return claim(self)
+        finally:
+            claimed.set()
+
+    def scattering(*args):
+        scatter(*args)
+        calls.append(args[2])
+        if len(calls) == chunks:
+            release.set()
+            assert claimed.wait(30)
+
+    monkeypatch.setattr(simulate._Tail, "claim", claiming)
+    monkeypatch.setattr(simulate, "_scatter", scattering)
+    caplog.set_level(logging.DEBUG, "lrdcov.simulate")
+    with ThreadPoolExecutor(1) as pool:
+        blocker = pool.submit(release.wait, 30)
+        try:
+            batch = simulate_multidimensional(plan, pool)
+        finally:
+            release.set()
+        assert blocker.result()
+    return batch.data, [r.getMessage() for r in caplog.records if r.name == "lrdcov.simulate"]
+
+
+def _record(plan, drew):
+    return f"N {plan.N}, d {plan.spec.d}: the helper drew {drew} of the innovations"
+
+
+# the built-in cases whose stream is longer than a chunk
+PAST_A_CHUNK = [case for case, (spec, n, N, copies) in ONE_SHOT_CASES.items()
+                if spec.separable and N > CHUNK]
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+@pytest.mark.parametrize("case", PAST_A_CHUNK)
+def test_a_helper_freed_after_a_chunk_draws_the_tail_byte_for_byte(monkeypatch, caplog,
+                                                                     case, chunks):
+    # freed after the second chunk, one-channel leaves the helper 3 rows of one
+    # normal, fewer than the caller's probe; the two-chunk cases leave it none
+    spec, n, N, copies = ONE_SHOT_CASES[case]
+    plan = SimulationPlan(spec, n, seed=17, N=N, copies_requested=copies)
+    got, records = _simulate_with_the_helper_freed(monkeypatch, caplog, plan, chunks)
+    assert np.array_equal(got, _one_shot_simulation(plan))
+    begun = min(chunks * CHUNK, N)  # the end of the chunk the caller was drawing
+    mid = begun + (N - begun + 1) // 2
+    assert records == [_record(plan, f"rows {mid}..{N}" if mid < N
+                               else "no rows (nothing left)")]
+
+
+@pytest.mark.parametrize("case", PAST_A_CHUNK)
+def test_a_tail_that_is_not_found_is_drawn_by_the_caller(monkeypatch, caplog, case):
+    # with no slack the helper's draw starts after the stream's normal mid*d:
+    # the caller does not find its probe there and draws the tail itself
+    monkeypatch.setattr(simulate, "_slack", lambda normals: 0)
+    spec, n, N, copies = ONE_SHOT_CASES[case]
+    plan = SimulationPlan(spec, n, seed=17, N=N, copies_requested=copies)
+    got, records = _simulate_with_the_helper_freed(monkeypatch, caplog, plan, 1)
+    assert np.array_equal(got, _one_shot_simulation(plan))
+    assert records == [_record(plan, "no rows (no match)")]
+
+
+def test_a_free_helper_draws_the_tail_of_a_long_stream(caplog):
+    # the mc_long cell's stream: a fallback would pass the byte-for-byte tests
+    # and double the draw's time
+    plan = SimulationPlan(toeplitz_spec(2.0, 10, truncation=62_499), 250, seed=3,
+                          N=62_500, copies_requested=200)
+    caplog.set_level(logging.DEBUG, "lrdcov.simulate")
+    with ThreadPoolExecutor(1) as pool:
+        got = simulate_multidimensional(plan, pool)
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "lrdcov.simulate"]
+    mid = int(record.split("rows ")[1].split("..")[0])
+    assert record == _record(plan, f"rows {mid}..62500")
+    assert np.array_equal(got.data, simulate_multidimensional(plan).data)
+
+
+def test_a_cancelled_tail_job_leaves_no_buffer_behind(caplog):
+    # the tail job is queued behind a job that holds the helper past the draw,
+    # so the caller cancels it; it must hold no part of the innovations
+    plan = SimulationPlan(toeplitz_spec(2.0, 10), n=250, seed=4, N=62_500,
+                          copies_requested=20)
+    caplog.set_level(logging.DEBUG, "lrdcov.simulate")
+    release = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        blocker = pool.submit(release.wait, 30)
+        tracemalloc.start()
+        try:
+            batch = simulate_multidimensional(plan, pool)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            release.set()
+        assert blocker.result()
+    assert held < batch.data.nbytes + 8 * plan.N  # the innovations would add 8 N d
+    assert [r.getMessage() for r in caplog.records if r.name == "lrdcov.simulate"] == [
+        _record(plan, "no rows (not started)")]
+
+
+def test_tail_claims_hold_under_frequent_thread_switches():
+    # four callers, each with its own helper, on two cores, switching threads
+    # every 10 us: a claim that raced the caller's progress would leave rows
+    # unwritten or written twice
+    N, d = 3 * CHUNK + 5, 2
+
+    def stream(seed):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return rng.standard_normal(N * d).reshape(N, d)
+
+    def check(seed):
+        with ThreadPoolExecutor(1) as pool:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            innov, drew = simulate._innovations(rng, N, d, pool)
+        rows = stream(seed)
+        return (np.array_equal(innov[1], rows[:, 1])
+                and np.array_equal(innov[0], np.roll(rows[:, 0], -1)), drew)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            results = list(callers.map(check, range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(same for same, _ in results)
+    assert any(drew.startswith("rows") for _, drew in results)
+
+
+def test_a_simulation_without_a_helper_records_it(caplog):
+    plan = SimulationPlan(toeplitz_spec(2.0, 3), n=16, seed=1)
+    caplog.set_level(logging.DEBUG, "lrdcov.simulate")
+    simulate_multidimensional(plan)
+    simulate_multidimensional(SimulationPlan(_mixing_spec(2, 2, truncation=20), n=16, seed=1))
+    assert [r.getMessage() for r in caplog.records if r.name == "lrdcov.simulate"] == [
+        _record(plan, "no rows (no helper)")]  # one record per built-in simulation
 
 
 @pytest.mark.parametrize("d, n, N, copies", [
