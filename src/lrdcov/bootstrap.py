@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRegimeError
+from .errors import OutOfRegimeError, first_nonfinite
 from .estimate import sample_covariance, sample_precision
 from .metrics import _quantile_exact
 from .model import theoretical_rates
@@ -139,8 +139,9 @@ def _series(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be an n x p matrix with p >= 1")
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
+    bad = first_nonfinite(X)
+    if bad is not None:
+        i, j = bad
         raise ValueError(f"X row {i}, column {j}: non-finite value {X[i, j]}")
     return X
 

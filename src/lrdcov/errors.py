@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scan that finds the
+entry an input error names."""
+
+from typing import Optional
+
+import numpy as np
 
 
 class LrdcovError(Exception):
@@ -51,3 +56,12 @@ class ZeroVarianceError(LrdcovError):
     def __init__(self, message, column=None):
         super().__init__(message)
         self.column = column    # index of the failing column of a stack
+
+
+def first_nonfinite(X: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first non-finite entry of X in C order, or None.  One
+    isfinite pass decides; the entry is located only when it fails."""
+    finite = np.isfinite(X)
+    if finite.all():
+        return None
+    return tuple(np.argwhere(~finite)[0].tolist())

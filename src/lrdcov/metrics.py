@@ -69,7 +69,7 @@ def qq_pairs(a, b, q: int) -> list[tuple[float, float]]:
     levels = np.arange(1, q + 1) / (q + 1.0)
     qa = _quantile_exact(sa, levels)
     qb = _quantile_exact(sb, levels)
-    return [(float(x), float(y)) for x, y in zip(qa, qb)]
+    return list(zip(qa.tolist(), qb.tolist()))
 
 
 def ecdf_points(a) -> list[tuple[float, float]]:
@@ -77,4 +77,4 @@ def ecdf_points(a) -> list[tuple[float, float]]:
     sa = _sorted(a, "input")
     uniq, counts = np.unique(sa, return_counts=True)
     levels = np.cumsum(counts) / sa.size
-    return [(float(x), float(f)) for x, f in zip(uniq, levels)]
+    return list(zip(uniq.tolist(), levels.tolist()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,8 @@ import numpy as np
 
 from .bootstrap import (DefaultBlocks, confidence_region, precision_blocks,
                         resolve_block_length)
-from .errors import HighDimensionError, NearSingularError, ZeroVarianceError
+from .errors import (HighDimensionError, NearSingularError, ZeroVarianceError,
+                     first_nonfinite)
 from .estimate import sample_covariance, sample_precision
 
 ACF_LAG_LO = 21
@@ -73,13 +75,57 @@ class AcfSignificance:
 def ingest(path) -> SubjectSeries:
     """Read one subject's CSV (header row of labels, numeric rows), demeaned.
 
-    The file is UTF-8, with or without a byte-order mark.  Labels must be
-    distinct after stripping spaces.  Blank lines are skipped
-    and cells may be quoted or padded with spaces; every value must be a
-    finite number, and so must each demeaned column's sum of squares.
+    The file is UTF-8, with or without a byte-order mark, and its lines may
+    end in LF, CRLF or CR.  Labels must be distinct after stripping spaces.
+    Blank lines are skipped and cells may be quoted or padded with spaces;
+    every value must be a finite number, and so must each demeaned column's
+    sum of squares.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is no label
+    labels, data = _parse(path) or _parse_exactly(path)
+    bad = first_nonfinite(data)
+    if bad is not None:
+        i, j = bad
+        raise ValueError(f"{path}: row {i + 2}, column {labels[j]!r}: "
+                         f"non-finite value {float(data[i, j])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = data - data.mean(axis=0)
+        overflow = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", data, data)))
+    if overflow.size:
+        raise ValueError(f"{path}: column {labels[overflow[0]]!r}: values too large, "
+                         f"the sum of squares after demeaning is not finite")
+    return SubjectSeries(path.stem, data, labels)
+
+
+_LOADTXT = dict(delimiter=",", ndmin=2, quotechar='"',
+                comments=None)  # the default "#" would silently cut a cell short
+
+
+def _parse(path: Path):
+    """(labels, values) in one pass through universal newlines, the body parsed
+    from the open file; None where `_parse_exactly` must read the file: no
+    header, a header cell holding a newline (universal newlines would turn a
+    quoted CR into LF), repeated labels, no data rows or a body the parser
+    rejects."""
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no label
+        header = next((row for row in csv.reader(fh) if row), None)
+        if header is None or any("\n" in cell for cell in header):
+            return None
+        labels = tuple(cell.strip() for cell in header)
+        first = next((line for line in fh if line != "\n"), None)
+        if first is None or _repeated_label(labels):
+            return None
+        try:
+            data = np.loadtxt(itertools.chain((first,), fh), **_LOADTXT)
+        except ValueError:
+            return None
+    return (labels, data) if data.shape[1] == len(labels) else None
+
+
+def _parse_exactly(path: Path):
+    """(labels, values) with the header read through untranslated line ends,
+    or the ValueError that names the file and the first bad row or cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next((row for row in csv.reader(fh) if row), None)
         body = fh.read()
     if header is None:
@@ -90,25 +136,13 @@ def ingest(path) -> SubjectSeries:
         raise ValueError(f"{path}: {repeated}")
     if not body.strip("\r\n"):
         raise ValueError(f"{path}: no data rows")
-    try:  # comments=None: the default "#" would silently cut a cell short
-        data = np.loadtxt(io.StringIO(body, newline=None), delimiter=",",
-                          ndmin=2, quotechar='"', comments=None)
+    try:
+        data = np.loadtxt(io.StringIO(body, newline=None), **_LOADTXT)
         if data.shape[1] != len(labels):
             raise ValueError(f"{data.shape[1]} fields per row, expected {len(labels)}")
     except ValueError as exc:
         raise ValueError(f"{path}: {_bad_cell(labels, body) or exc}") from exc
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}: row {i + 2}, column {labels[j]!r}: "
-                         f"non-finite value {float(data[i, j])}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = data - data.mean(axis=0)
-        overflow = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", data, data)))
-    if overflow.size:
-        raise ValueError(f"{path}: column {labels[overflow[0]]!r}: values too large, "
-                         f"the sum of squares after demeaning is not finite")
-    return SubjectSeries(path.stem, data, labels)
+    return labels, data
 
 
 def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
@@ -132,10 +166,20 @@ def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
 def _check_finite(X: np.ndarray, labels: Sequence) -> None:
     """ValueError naming the row and column label of the first non-finite entry
     of an (n, p) stack, before a kernel warns or returns a number from it."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    bad = first_nonfinite(X)
+    if bad is not None:
+        i, j = bad
         raise ValueError(f"row {i}, column {labels[j]!r}: non-finite value {X[i, j]}")
+
+
+# Each R/S window size runs in the cheaper of two layouts: time-major, its sums
+# across rows p * n / w long, or window-major once w^2 > 16 n (w 256 and 512 at
+# n 2000), each window summed along its own row.  The rule reads n and w alone,
+# so a column gives the same bits alone as in a stack.
+_WINDOW_MAJOR = 16
+# Up to this w the time-major running sum is w - 1 row adds: np.cumsum(axis=0)
+# runs one strided loop per column instead.
+_ROW_ADDS_MAX_W = 16
 
 
 def _hurst_columns(X: np.ndarray) -> np.ndarray:
@@ -145,26 +189,22 @@ def _hurst_columns(X: np.ndarray) -> np.ndarray:
     n, p = X.shape
     if n < 32:
         raise ValueError(f"series too short for R/S analysis (n = {n} < 32)")
-    constant = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
+    rows = np.ascontiguousarray(X.T)  # each column along one row: cheap reductions
+    constant = np.flatnonzero(rows.max(axis=-1) == rows.min(axis=-1))
     if constant.size:
         raise ZeroVarianceError("constant series has no rescaled range", int(constant[0]))
     sizes = 8 << np.arange((n // 16).bit_length())  # 8, 16, ... up to n/2
     log_rs = np.empty((p, sizes.size))  # sizes last: each column's sums run along one row
     for s, w in enumerate(sizes):
         m = n // w
-        # time-major copy, column j * m + b holding window b of column j: every
-        # reduction runs across rows p * m long, and a column's windows are
-        # summed along one contiguous row, the same for any p
-        blocks = X[:m * w].reshape(m, w, p).transpose(1, 2, 0).copy().reshape(w, p * m)
-        # raw values, not the spread: axis-0 sums add row after row, so a constant
-        # window's mean can miss its value and leave a spread of about 1e-17
-        high, low = _column_extremes(blocks)
-        varies = high > low
-        blocks -= blocks.mean(axis=0)
-        spread = np.sqrt(np.einsum("tj,tj->j", blocks, blocks) / w)
-        np.cumsum(blocks, axis=0, out=blocks)
-        high, low = _column_extremes(blocks)
-        ranges = high - low
+        if w * w > _WINDOW_MAJOR * n:
+            varies, ranges, spread = _window_major_rs(rows[:, :m * w].reshape(p, m, w))
+        else:
+            # time-major copy, column j * m + b holding window b of column j: every
+            # reduction runs across rows p * m long, and a column's windows are
+            # summed along one contiguous row, the same for any p
+            varies, ranges, spread = _time_major_rs(
+                X[:m * w].reshape(m, w, p).transpose(1, 2, 0).copy().reshape(w, p * m))
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN: no varying window
             ratios = np.where(varies, ranges / spread, 0.0).reshape(p, m)
             log_rs[:, s] = np.log(ratios.sum(axis=-1) / varies.reshape(p, m).sum(axis=-1))
@@ -178,6 +218,37 @@ def _hurst_columns(X: np.ndarray) -> np.ndarray:
     dx = fitted * (dx - dx.sum(axis=-1, keepdims=True) / count)
     y = np.where(fitted, log_rs, 0.0)
     return np.clip((dx * y).sum(axis=-1) / (dx * dx).sum(axis=-1), 0.0, 1.0)
+
+
+def _time_major_rs(blocks: np.ndarray):
+    """(varies, range, spread) of each column of a (w, k) block of windows,
+    computed in place: whether the window's values differ, the range of its
+    running sum of deviations from its mean, and its standard deviation."""
+    w = blocks.shape[0]
+    # raw values, not the spread: axis-0 sums add row after row, so a constant
+    # window's mean can miss its value and leave a spread of about 1e-17
+    high, low = _column_extremes(blocks)
+    varies = high > low
+    blocks -= blocks.mean(axis=0)
+    spread = np.sqrt(np.einsum("tj,tj->j", blocks, blocks) / w)
+    if w <= _ROW_ADDS_MAX_W:  # the adds of np.cumsum(axis=0), in its order
+        for t in range(1, w):
+            np.add(blocks[t - 1], blocks[t], out=blocks[t])
+    else:
+        np.cumsum(blocks, axis=0, out=blocks)
+    high, low = _column_extremes(blocks)
+    return varies, high - low, spread
+
+
+def _window_major_rs(blocks: np.ndarray):
+    """`_time_major_rs` of each row of a (p, m, w) view of windows, each
+    reduced along its own contiguous row; the view is left as it is."""
+    w = blocks.shape[-1]
+    varies = blocks.max(axis=-1) > blocks.min(axis=-1)
+    centered = blocks - blocks.mean(axis=-1, keepdims=True)
+    spread = np.sqrt(np.einsum("jbt,jbt->jb", centered, centered) / w)
+    np.cumsum(centered, axis=-1, out=centered)
+    return varies, centered.max(axis=-1) - centered.min(axis=-1), spread
 
 
 def _column_extremes(blocks: np.ndarray):

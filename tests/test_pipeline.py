@@ -16,8 +16,9 @@ from lrdcov import (AcfSignificance, DefaultBlocks, EdgeSet, EdgeStat,
                     subject_diagnostics, subject_graph, toeplitz_spec,
                     write_diagnostics_csv, write_edges_csv)
 from lrdcov.bootstrap import FixedBlocks
+from lrdcov.errors import first_nonfinite
 from lrdcov.pipeline import (_acf_counts, _column_extremes, _CsvFields, _fft_length,
-                             _hurst_columns, _ranked)
+                             _hurst_columns, _ranked, _time_major_rs)
 
 LABELS5 = tuple("abcde")
 
@@ -183,6 +184,35 @@ def test_ingest_reads_a_byte_order_mark_as_no_label(tmp_path):
     plain, bom = ingest(tmp_path / "plain.csv"), ingest(tmp_path / "bom.csv")
     assert bom.labels == plain.labels == ("a", "b")
     assert np.array_equal(bom.data, plain.data)
+
+
+# labels as _CsvFields quotes them: a comma, a doubled quote, LF, CR and CRLF
+QUOTED_LABELS = ("roi,a", 'roi "b"', "two\nlines", "cr\rhere", "crlf\r\nhere")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_ingest_reads_back_labels_holding_newlines(tmp_path, end):
+    # a header cell holding a newline is read with untranslated line ends, where
+    # universal newlines would turn its CR into LF
+    field = _CsvFields()
+    data = np.random.default_rng(14).standard_normal((40, len(QUOTED_LABELS)))
+    lines = [",".join(field[label] for label in QUOTED_LABELS)]
+    lines += [",".join(map(repr, row)) for row in data.tolist()]
+    path = tmp_path / "quoted.csv"
+    path.write_bytes((end.join(lines) + end).encode())
+    labels, expected = ingest_oracle(path)
+    subject = ingest(path)
+    assert subject.labels == labels == QUOTED_LABELS
+    assert np.array_equal(subject.data, expected)
+
+
+@pytest.mark.parametrize("shape, index", [((4, 3), (2, 1)), ((5,), (3,)), ((2, 3, 4), (1, 0, 2))])
+def test_first_nonfinite_finds_the_first_entry_in_c_order(shape, index):
+    X = np.arange(float(np.prod(shape))).reshape(shape)
+    assert first_nonfinite(X) is None
+    X[index] = np.nan
+    X.flat[-1] = np.inf  # a later entry
+    assert first_nonfinite(X) == index
 
 
 # --- Hurst exponent --------------------------------------------------------------
@@ -387,9 +417,10 @@ def mixed_panel(n, seed):
                             long_memory, stretch])
 
 
-@pytest.mark.parametrize("n", [2000, 4096])
+@pytest.mark.parametrize("n", [120, 2000, 4096])
 def test_stacked_kernels_are_column_independent(n):
-    # 4096 fits eight window sizes, where a sum over sizes could change order with p
+    # 120 runs every R/S size time-major, 2000 its two largest window-major; 4096
+    # fits nine window sizes, where a sum over sizes could change order with p
     X = mixed_panel(n, seed=n)
     hurst, counts = _hurst_columns(X), _acf_counts(X, 21, 100)
     for j in range(X.shape[1]):
@@ -397,7 +428,17 @@ def test_stacked_kernels_are_column_independent(n):
         assert counts[j] == acf_significance(X[:, j], 21, 100).count
 
 
-# (512, 15) and (256, 35) are the R/S blocks at n 2000, p 5: folded before reducing
+@pytest.mark.parametrize("w", [8, 16])
+def test_row_adds_are_the_running_sum_of_cumsum(w):
+    blocks = np.random.default_rng(w).standard_normal((w, 1250))
+    varies, ranges, spread = _time_major_rs(blocks.copy())
+    running = np.cumsum(blocks - blocks.mean(axis=0), axis=0)
+    assert np.array_equal(ranges, running.max(axis=0) - running.min(axis=0))
+    assert varies.all()
+
+
+# a block taller than it is wide is folded before reducing: (128, 75) is the
+# largest time-major R/S block at n 2000, p 5
 @pytest.mark.parametrize("w, k", [(512, 15), (256, 35), (128, 75), (64, 155), (2048, 1), (8, 3)])
 def test_column_extremes_match_plain_reductions(w, k):
     blocks = np.random.default_rng(w + k).standard_normal((w, k))
