@@ -86,9 +86,9 @@ class TheoreticalBlocks:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0 and self.scale > 0):
+        if not (0.0 < self.epsilon < 1.0 and 0.0 < self.scale < math.inf):
             raise ValueError(f"theoretical block rule needs epsilon in (0, 1) and "
-                             f"scale > 0, got {self.epsilon} and {self.scale}")
+                             f"scale in (0, inf), got {self.epsilon} and {self.scale}")
 
 
 def default_block_length(n: int) -> int:
@@ -110,11 +110,11 @@ def theoretical_block_length(n: int, p: int, beta: float, epsilon: float,
     The optimal order fixes phi and psi but not the constant; `scale` is the
     caller's choice with default 1.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     rates = theoretical_rates(beta, n, p, epsilon)
     raw = scale * n ** rates["phi"] * math.log(max(p, 2)) ** rates["psi_exp"]
-    return int(min(max(round(raw), 2), n))
+    return int(min(max(round(min(raw, n)), 2), n))  # raw is inf past the float range
 
 
 def resolve_block_length(rule, n: int, p: int = 1,

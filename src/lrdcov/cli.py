@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import (TheoreticalBlocks, confidence_region, covariance_blocks,
                         precision_blocks, quantile, resolve_block_length)
-from .errors import LrdcovError
+from .errors import LrdcovError, not_utf8
 from .estimate import sample_covariance, sample_precision
 from .harness import (BLOCK_RULE_FORMS, STRUCTURE_FORMS, ExperimentConfig, _parse_token,
                       parse_block_rule, parse_structure, run_grid)
@@ -97,10 +97,13 @@ def _cmd_bootstrap_ci(args) -> int:
 
 def _load_sample(path: str) -> np.ndarray:
     """One value per line, UTF-8 with or without a byte-order mark; an empty
-    file is an error that names it."""
+    file or one that is not UTF-8 is an error that names it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
-        values = np.loadtxt(path, ndmin=1, encoding="utf-8-sig")
+        try:
+            values = np.loadtxt(path, ndmin=1, encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from exc
     if values.size == 0:
         raise ValueError(f"sample file {path} holds no values")
     return values

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the scan that finds the
-entry an input error names."""
+"""Exception types shared across the package, and the scans that find the
+entry or byte an input error names."""
 
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -65,3 +66,14 @@ def first_nonfinite(X: np.ndarray) -> Optional[tuple[int, ...]]:
     if finite.all():
         return None
     return tuple(np.argwhere(~finite)[0].tolist())
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> ValueError:
+    """ValueError naming a file that is not UTF-8 and the offset of its first bad
+    byte from the start of the file; `exc`, raised while reading it, counts from
+    the start of its decoder's chunk."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return ValueError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}")

@@ -10,7 +10,6 @@ frequently detected fraction.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 from .bootstrap import (DefaultBlocks, confidence_region, precision_blocks,
                         resolve_block_length)
 from .errors import (HighDimensionError, NearSingularError, ZeroVarianceError,
-                     first_nonfinite)
+                     first_nonfinite, not_utf8)
 from .estimate import sample_covariance, sample_precision
 
 ACF_LAG_LO = 21
@@ -79,10 +78,14 @@ def ingest(path) -> SubjectSeries:
     end in LF, CRLF or CR.  Labels must be distinct after stripping spaces.
     Blank lines are skipped and cells may be quoted or padded with spaces;
     every value must be a finite number, and so must each demeaned column's
-    sum of squares.
+    sum of squares.  Each input error is a ValueError naming the file; one
+    that is not UTF-8 is named with the offset of its first bad byte.
     """
     path = Path(path)
-    labels, data = _parse(path) or _parse_exactly(path)
+    try:
+        labels, data = _parse(path)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from exc
     bad = first_nonfinite(data)
     if bad is not None:
         i, j = bad
@@ -102,64 +105,53 @@ _LOADTXT = dict(delimiter=",", ndmin=2, quotechar='"',
 
 
 def _parse(path: Path):
-    """(labels, values) in one pass through universal newlines, the body parsed
-    from the open file; None where `_parse_exactly` must read the file: no
-    header, a header cell holding a newline (universal newlines would turn a
-    quoted CR into LF), repeated labels, no data rows or a body the parser
-    rejects."""
+    """(labels, values), read in one pass through universal newlines: the header
+    record by `csv.reader`, the body by `np.loadtxt` from the same open file.
+    Only a header cell holding a newline, where universal newlines may have
+    turned a quoted CR or CRLF into LF, sends the header record alone to be read
+    again through untranslated line ends.  A body the parser rejects raises a
+    ValueError naming the file and, where `_bad_cell` finds one, its first bad
+    row or cell."""
     with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no label
         header = next((row for row in csv.reader(fh) if row), None)
-        if header is None or any("\n" in cell for cell in header):
-            return None
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if any("\n" in cell for cell in header):
+            with open(path, newline="", encoding="utf-8-sig") as exact:
+                header = next(row for row in csv.reader(exact) if row)
         labels = tuple(cell.strip() for cell in header)
+        repeated = _repeated_label(labels)
+        if repeated:  # checked before the body is parsed
+            raise ValueError(f"{path}: {repeated}")
         first = next((line for line in fh if line != "\n"), None)
-        if first is None or _repeated_label(labels):
-            return None
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
         try:
             data = np.loadtxt(itertools.chain((first,), fh), **_LOADTXT)
-        except ValueError:
-            return None
-    return (labels, data) if data.shape[1] == len(labels) else None
-
-
-def _parse_exactly(path: Path):
-    """(labels, values) with the header read through untranslated line ends,
-    or the ValueError that names the file and the first bad row or cell."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next((row for row in csv.reader(fh) if row), None)
-        body = fh.read()
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    labels = tuple(cell.strip() for cell in header)
-    repeated = _repeated_label(labels)
-    if repeated:  # checked before the body is parsed
-        raise ValueError(f"{path}: {repeated}")
-    if not body.strip("\r\n"):
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(io.StringIO(body, newline=None), **_LOADTXT)
-        if data.shape[1] != len(labels):
-            raise ValueError(f"{data.shape[1]} fields per row, expected {len(labels)}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {_bad_cell(labels, body) or exc}") from exc
+            if data.shape[1] != len(labels):
+                raise ValueError(f"{data.shape[1]} fields per row, expected {len(labels)}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {_bad_cell(path, labels) or exc}") from exc
     return labels, data
 
 
-def _bad_cell(labels: tuple[str, ...], body: str) -> Optional[str]:
-    """Describe the first ragged row or non-numeric cell of the data rows
-    (numbered from the header, row 1, skipping blank lines); None if none."""
-    rows = (row for row in csv.reader(io.StringIO(body, newline="")) if row)
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(labels):
-            return f"row {i} has {len(row)} fields, expected {len(labels)}"
-        for label, cell in zip(labels, row):
-            try:  # float() also takes "1_0" and non-ASCII digits; numpy's parser does not
-                float(cell)
-                if cell.strip().isascii() and "_" not in cell:
-                    continue
-            except ValueError:
-                pass
-            return f"row {i}, column {label!r}: non-numeric field {cell!r}"
+def _bad_cell(path: Path, labels: tuple[str, ...]) -> Optional[str]:
+    """Describe the first ragged row or non-numeric cell of the data rows, read
+    through untranslated line ends (numbered from the header, row 1, skipping
+    blank lines); None if none."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        for i, row in enumerate(itertools.islice(rows, 1, None), start=2):
+            if len(row) != len(labels):
+                return f"row {i} has {len(row)} fields, expected {len(labels)}"
+            for label, cell in zip(labels, row):
+                try:  # float() also takes "1_0" and non-ASCII digits; numpy's parser does not
+                    float(cell)
+                    if cell.strip().isascii() and "_" not in cell:
+                        continue
+                except ValueError:
+                    pass
+                return f"row {i}, column {label!r}: non-numeric field {cell!r}"
     return None
 
 

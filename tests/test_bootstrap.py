@@ -376,6 +376,20 @@ def test_theoretical_block_length_formula():
         theoretical_block_length(n, p, beta, eps, scale=0.0)
 
 
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -math.inf])
+def test_theoretical_rule_needs_a_finite_scale(scale):
+    # round() of an infinite length raised OverflowError, which no caller catches
+    with pytest.raises(ValueError, match=f"scale in \\(0, inf\\), got 0.5 and {scale}"):
+        TheoreticalBlocks(0.5, scale)
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        theoretical_block_length(2000, 5, 2.0, 0.5, scale)
+
+
+def test_theoretical_block_length_clamps_an_overflowing_product():
+    # a finite scale whose product passes the float range is clamped to n
+    assert theoretical_block_length(2000, 5, 2.0, 0.5, 1e308) == 2000
+
 def test_block_length_exponent_limits():
     # epsilon -> 0 and very short memory: phi -> 2/3 (the trivial rule's low end)
     rates = theoretical_rates((1e8 + 1) / 2, 1000, 10, 1e-9)

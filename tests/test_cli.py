@@ -220,7 +220,9 @@ def test_console_rejects_an_unknown_target_in_one_line(tmp_path, capsys):
                                         # an infinite beta, which ran as an iid cell
                                         ("betas", [math.inf]),
                                         # no targets, which simulated every cell for nothing
-                                        ("targets", [])])
+                                        ("targets", []),
+                                        # an infinite scale, which crashed in round()
+                                        ("block_rule", "theoretical:0.5:inf")])
 def test_console_rejects_a_wrongly_typed_config_field_in_one_line(tmp_path, capsys, key,
                                                                   value):
     config = {"grid_n": [64], "grid_p": [2], "betas": [2.0], "replicates": 10,
@@ -253,6 +255,19 @@ def test_console_names_an_empty_sample_file_in_one_line(tmp_path, capsys):
     assert (code, stdout) == (f"lrdcov: error: sample file {a} holds no values", "")
 
 
+@pytest.mark.parametrize("raw", [b"\xff1.0\n2.0\n", b"1.25\n" * 20_000 + b"3.\xff\n"],
+                         ids=["first-line", "large-file"])
+def test_console_names_an_undecodable_sample_file_and_its_byte_offset(tmp_path, capsys, raw):
+    # the decoder's position counts from its chunk; the message counts from the file start
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_bytes(raw)
+    b.write_text("2.0\n3.0\n")
+    offset = raw.index(b"\xff")
+    code, stdout = console(capsys, "metrics", "--a", a, "--b", b)
+    assert (code, stdout) == (f"lrdcov: error: {a}: not UTF-8: invalid start byte at "
+                              f"byte offset {offset}", "")
+
+
 @pytest.mark.parametrize("alpha", [1.5, 0, -0.1])
 def test_console_names_alpha_when_it_is_out_of_range(tmp_path, capsys, alpha):
     data = np.random.default_rng(3).standard_normal((100, 2))
@@ -277,9 +292,12 @@ GRAMMAR = "'default', 'fixed:<l>' or 'theoretical:<eps>[:scale]'"
      "(could not convert string to float: '1:x')"),
     (["--block-rule", "theoretical:0.5"], "--block-rule 'theoretical:0.5' needs --beta"),
     (["--block-rule", "theoretical:0.5", "--beta", "nan"], "--beta must be finite, got nan"),
-    (["--block-rule", "theoretical:0.5", "--beta", "inf"], "--beta must be finite, got inf")],
+    (["--block-rule", "theoretical:0.5", "--beta", "inf"], "--beta must be finite, got inf"),
+    (["--block-rule", "theoretical:0.5:inf", "--beta", "2"],
+     f"--block-rule must be {GRAMMAR}, got 'theoretical:0.5:inf' (theoretical block rule "
+     "needs epsilon in (0, 1) and scale in (0, inf), got 0.5 and inf)")],
     ids=["fixed:x", "fixed:1.5", "theoretical:", "theoretical-trailing-token",
-         "theoretical-without-beta", "beta-nan", "beta-inf"])
+         "theoretical-without-beta", "beta-nan", "beta-inf", "theoretical-scale-inf"])
 def test_console_rejects_a_bad_bootstrap_option_in_one_line(tmp_path, capsys, options,
                                                             message):
     path = tmp_path / "subject.csv"

@@ -31,6 +31,21 @@ def make_subject(data, labels=None):
 
 # --- ingest --------------------------------------------------------------------
 
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+def over_line_ends(values):
+    """(value, end) parameters over each line end; the LF case keeps its value's id."""
+    return [pytest.param(value, end, id=value + ("" if name == "lf" else f"-{name}"))
+            for name, end in LINE_ENDS.items() for value in values]
+
+
+def write_lines(path, text, end):
+    """`text` with each LF written as `end`: the body is parsed through translated
+    line ends and diagnosed through untranslated ones, so both must agree."""
+    path.write_bytes(text.replace("\n", end).encode())
+
+
 def test_ingest_zero_table(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("left,right\n0,0\n0,0\n")
@@ -48,16 +63,18 @@ def test_ingest_demeans_constant_column(tmp_path):
     assert abs(subject.data[:, 1].mean()) < 1e-10
 
 
-def test_ingest_ragged_row_names_row(tmp_path):
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_ingest_ragged_row_names_row(tmp_path, end):
     path = tmp_path / "ragged.csv"
-    path.write_text("a,b\n1,2\n3\n")
+    write_lines(path, "a,b\n1,2\n3\n", end)
     with pytest.raises(ValueError, match="row 3"):
         ingest(path)
 
 
-def test_ingest_non_numeric_names_row_and_column(tmp_path):
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_ingest_non_numeric_names_row_and_column(tmp_path, end):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n3,oops\n")
+    write_lines(path, "a,b\n1,2\n3,oops\n", end)
     with pytest.raises(ValueError, match="row 3.*'b'"):
         ingest(path)
 
@@ -95,18 +112,19 @@ def test_ingest_matches_per_cell_parse(tmp_path, text):
     assert np.array_equal(subject.data, data)
 
 
-@pytest.mark.parametrize("cell", ["2#3", "#3"])
-def test_ingest_rejects_comment_cells(tmp_path, cell):
+@pytest.mark.parametrize("cell, end", over_line_ends(["2#3", "#3"]))
+def test_ingest_rejects_comment_cells(tmp_path, cell, end):
     path = tmp_path / "hash.csv"
-    path.write_text(f"a,b\n1,2\n3,{cell}\n")
+    write_lines(path, f"a,b\n1,2\n3,{cell}\n", end)
     with pytest.raises(ValueError, match="row 3, column 'b'.*non-numeric"):
         ingest(path)
 
 
-def test_ingest_rejects_digit_separators(tmp_path):
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_ingest_rejects_digit_separators(tmp_path, end):
     # float() accepts "1_0"; the C parser does not, and its error is re-raised.
     path = tmp_path / "underscore.csv"
-    path.write_text("a,b\n1,2\n3,1_0\n")
+    write_lines(path, "a,b\n1,2\n3,1_0\n", end)
     with pytest.raises(ValueError, match="1_0") as info:
         ingest(path)
     assert info.value.__cause__ is not None
@@ -152,29 +170,42 @@ def test_ingest_rejects_overflowing_squares(huge_csv):
         ingest(huge_csv)
 
 
-def test_ingest_rejects_consistent_wrong_width(tmp_path):
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_ingest_rejects_consistent_wrong_width(tmp_path, end):
     path = tmp_path / "wide.csv"
-    path.write_text("a,b\n1,2,3\n4,5,6\n")
+    write_lines(path, "a,b\n1,2,3\n4,5,6\n", end)
     with pytest.raises(ValueError, match="row 2 has 3 fields, expected 2"):
         ingest(path)
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
-def test_ingest_header_only_raises_without_warning(tmp_path, body):
+@pytest.mark.parametrize("body, end", over_line_ends(["", "\n", "\r\n\n"]))
+def test_ingest_header_only_raises_without_warning(tmp_path, body, end):
     path = tmp_path / "header.csv"
-    path.write_text("a,b\n" + body)
+    write_lines(path, "a,b\n" + body, end)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no data rows"):
             ingest(path)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-def test_ingest_rejects_non_finite(tmp_path, cell):
+@pytest.mark.parametrize("cell, end", over_line_ends(["nan", "inf", "-Infinity"]))
+def test_ingest_rejects_non_finite(tmp_path, cell, end):
     path = tmp_path / "nonfinite.csv"
-    path.write_text(f"a,b\n1,2\n\n3,{cell}\n")
+    write_lines(path, f"a,b\n1,2\n\n3,{cell}\n", end)
     with pytest.raises(ValueError, match="row 3, column 'b'.*non-finite"):
         ingest(path)
+
+
+@pytest.mark.parametrize("raw", [b"a,\xffb\n1,2\n", b"a,b\n" + b"1.25,2\n" * 20_000 + b"3,\xff\n"],
+                         ids=["header", "large-body"])
+def test_ingest_names_an_undecodable_file_and_its_byte_offset(tmp_path, raw):
+    # the decoder's position counts from its chunk; the message counts from the file start
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        ingest(path)
+    offset = raw.index(b"\xff")
+    assert str(err.value) == f"{path}: not UTF-8: invalid start byte at byte offset {offset}"
 
 
 def test_ingest_reads_a_byte_order_mark_as_no_label(tmp_path):
@@ -190,7 +221,7 @@ def test_ingest_reads_a_byte_order_mark_as_no_label(tmp_path):
 QUOTED_LABELS = ("roi,a", 'roi "b"', "two\nlines", "cr\rhere", "crlf\r\nhere")
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
 def test_ingest_reads_back_labels_holding_newlines(tmp_path, end):
     # a header cell holding a newline is read with untranslated line ends, where
     # universal newlines would turn its CR into LF
